@@ -716,8 +716,7 @@ struct PrecondRow {
     max_abs_diff_vs_jacobi: f64,
     /// What the config asked for vs what the solver actually ran —
     /// distinct when a preconditioner resolves to a substitute (MG
-    /// without grid dims falls back to Chebyshev, `AdditiveSchwarz(0)`
-    /// resolves its auto tile count).
+    /// without grid dims falls back to Chebyshev).
     requested_precond: String,
     effective_precond: String,
 }
@@ -908,133 +907,6 @@ fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
     }
 }
 
-/// One subdomain count's performance on the domain-decomposed solve.
-struct DdRow {
-    /// Subdomain (tile) count of the additive-Schwarz ladder.
-    partition: usize,
-    iterations: usize,
-    /// Warm-solve wall, tile factors already cached.
-    wall: Duration,
-    halo_cells: usize,
-    exchange_seconds: f64,
-    requested_precond: String,
-    effective_precond: String,
-}
-
-/// The domain-decomposition report: the level-scheduled IC(0) baseline
-/// plus one row per subdomain count.
-struct FvDdReport {
-    cells: usize,
-    oversubscribed: bool,
-    ic0_iterations: usize,
-    ic0_wall: Duration,
-    rows: Vec<DdRow>,
-}
-
-/// The domain-decomposition ladder behind the sharding tentpole: the
-/// 64³ steady solve under `Precond::AdditiveSchwarz(k)` at 1/2/4/8
-/// subdomains, against the level-scheduled IC(0)+RCM warm wall. Gates:
-/// PCG iterations at every subdomain count stay within 1.6× of the
-/// single-domain count (halo truncation must degrade the
-/// preconditioner gracefully), the fields agree with IC(0) to 1e-4 K,
-/// and — in full mode on a host with ≥ 2 hardware threads — the best
-/// multi-subdomain warm wall does not lose to IC(0) (≤ 1.0×): the
-/// barrier-free tiles buy back what the truncated factors cost.
-fn bench_fv_dd(smoke: bool, hardware_threads: usize) -> FvDdReport {
-    let n = if smoke { 20 } else { 64 };
-    let oversubscribed = hardware_threads < 2;
-    let mut model = fv_large_model(n);
-
-    // Baseline: the level-scheduled IC(0) path (Reorder::Auto engages
-    // RCM), warm.
-    model.set_solver_config(
-        SolverConfig::new()
-            .preconditioner(Precond::Ic0)
-            .threads(1)
-            .tolerance(1e-10),
-    );
-    model.solve_steady().expect("dd ic0 cold solve");
-    let start = Instant::now();
-    let ic0_field = model.solve_steady().expect("dd ic0 warm solve");
-    let ic0_wall = start.elapsed();
-    let ic0_stats = model.last_solve_stats().expect("ic0 stats");
-    let reference = ic0_field.temperatures().to_vec();
-
-    let mut rows: Vec<DdRow> = Vec::new();
-    for tiles in [1usize, 2, 4, 8] {
-        model.set_solver_config(
-            SolverConfig::new()
-                .preconditioner(Precond::AdditiveSchwarz(tiles))
-                .threads(1)
-                .tolerance(1e-10),
-        );
-        model.solve_steady().expect("dd as cold solve");
-        let start = Instant::now();
-        let field = model.solve_steady().expect("dd as warm solve");
-        let wall = start.elapsed();
-        let stats = model.last_solve_stats().expect("as stats");
-        assert!(
-            stats.converged(),
-            "AS×{tiles} must converge on the {n}³ grid"
-        );
-        let dd = stats.dd.expect("AS solve must report dd stats");
-        assert_eq!(
-            dd.subdomains, tiles,
-            "requested tile count must resolve exactly on {n} planes"
-        );
-        let max_diff = field
-            .temperatures()
-            .iter()
-            .zip(&reference)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            max_diff <= 1e-4,
-            "AS×{tiles}: field diverged from IC(0) by {max_diff:.3e} K"
-        );
-        rows.push(DdRow {
-            partition: tiles,
-            iterations: stats.iterations,
-            wall,
-            halo_cells: dd.halo_cells,
-            exchange_seconds: dd.exchange_seconds,
-            requested_precond: stats.requested_preconditioner.to_string(),
-            effective_precond: stats.preconditioner.to_string(),
-        });
-    }
-
-    let single = rows[0].iterations;
-    for r in &rows {
-        assert!(
-            (r.iterations as f64) <= 1.6 * single as f64,
-            "AS×{}: {} iterations exceeds 1.6× the single-domain count {}",
-            r.partition,
-            r.iterations,
-            single
-        );
-    }
-    if !smoke && !oversubscribed {
-        let best = rows
-            .iter()
-            .filter(|r| r.partition >= 2)
-            .map(|r| r.wall.as_secs_f64())
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            best <= ic0_wall.as_secs_f64(),
-            "best multi-subdomain AS warm wall ({best:.3}s) must not lose to the \
-             level-scheduled IC(0) wall ({:.3}s)",
-            ic0_wall.as_secs_f64()
-        );
-    }
-    FvDdReport {
-        cells: n * n * n,
-        oversubscribed,
-        ic0_iterations: ic0_stats.iterations,
-        ic0_wall,
-        rows,
-    }
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -1042,7 +914,6 @@ fn json_escape(s: &str) -> String {
 fn emit_json(
     records: &[SweepRecord],
     fv_large: &FvLargeReport,
-    fv_dd: &FvDdReport,
     mission_orbit: &MissionOrbitReport,
     optimize: &OptimizeReport,
     hardware_threads: usize,
@@ -1160,38 +1031,6 @@ fn emit_json(
     }
     out.push_str("    ]\n");
     out.push_str("  },\n");
-    out.push_str("  \"fv_dd\": {\n");
-    out.push_str(&format!("    \"cells\": {},\n", fv_dd.cells));
-    out.push_str(&format!(
-        "    \"oversubscribed\": {},\n",
-        fv_dd.oversubscribed
-    ));
-    out.push_str(&format!(
-        "    \"ic0_iterations\": {},\n",
-        fv_dd.ic0_iterations
-    ));
-    out.push_str(&format!(
-        "    \"ic0_wall_seconds\": {:.6},\n",
-        fv_dd.ic0_wall.as_secs_f64()
-    ));
-    out.push_str("    \"subdomains\": [\n");
-    for (i, r) in fv_dd.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"partition\": {}, \"iterations\": {}, \"wall_seconds\": {:.6}, \
-             \"halo_cells\": {}, \"exchange_seconds\": {:.6}, \
-             \"requested_precond\": \"{}\", \"effective_precond\": \"{}\"}}{}\n",
-            r.partition,
-            r.iterations,
-            r.wall.as_secs_f64(),
-            r.halo_cells,
-            r.exchange_seconds,
-            json_escape(&r.requested_precond),
-            json_escape(&r.effective_precond),
-            if i + 1 == fv_dd.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ]\n");
-    out.push_str("  },\n");
     out.push_str("  \"mission_orbit\": {\n");
     out.push_str(&format!("    \"cells\": {},\n", mission_orbit.cells));
     out.push_str(&format!(
@@ -1274,7 +1113,6 @@ fn main() {
         bench_mission(smoke, thread_counts),
     ];
     let fv_large = bench_fv_large(smoke, hardware_threads);
-    let fv_dd = bench_fv_dd(smoke, hardware_threads);
     let mission_orbit = bench_mission_orbit(smoke);
     let optimize = bench_optimize(smoke);
 
@@ -1346,34 +1184,6 @@ fn main() {
         }
         if let Some(half) = fv_large.mg_iterations_half {
             println!("  mg mesh-independence reference: {half} iterations at 32³");
-        }
-    }
-
-    {
-        println!(
-            "\nfv_dd — {} cells, additive-Schwarz subdomain ladder vs IC(0) \
-             ({} iterations, wall {}){}",
-            fv_dd.cells,
-            fv_dd.ic0_iterations,
-            fmt_duration(fv_dd.ic0_wall),
-            if fv_dd.oversubscribed {
-                " (oversubscribed: wall gate skipped)"
-            } else {
-                ""
-            }
-        );
-        for r in &fv_dd.rows {
-            println!(
-                "  {:<9} {:>5} iterations, wall {:>12}, {} halo cells, \
-                 staging {:.3} ms ({} → {})",
-                format!("AS×{}", r.partition),
-                r.iterations,
-                fmt_duration(r.wall),
-                r.halo_cells,
-                r.exchange_seconds * 1e3,
-                r.requested_precond,
-                r.effective_precond
-            );
         }
     }
 
@@ -1471,7 +1281,6 @@ fn main() {
     let json = emit_json(
         &records,
         &fv_large,
-        &fv_dd,
         &mission_orbit,
         &optimize,
         hardware_threads,
@@ -1506,10 +1315,6 @@ fn main() {
     assert!(
         summary.counter_prefix_sum("solver.cheb.") > 0,
         "run report must carry Chebyshev spectral counters"
-    );
-    assert!(
-        summary.counter_prefix_sum("solver.dd.") > 0,
-        "run report must carry domain-decomposition counters"
     );
     assert!(
         summary.counter_prefix_sum("mission.") > 0,

@@ -438,7 +438,6 @@ impl SebModel {
             iterate_seconds: start.elapsed().as_secs_f64(),
             factorization: None,
             spectral: None,
-            dd: None,
         };
         Ok((state, stats))
     }

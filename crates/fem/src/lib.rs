@@ -65,15 +65,3 @@ pub use random::{
     random_response, random_response_with, random_response_with_stats, PsdCurve, RandomResponse,
 };
 pub use sdof::Sdof;
-
-/// Deprecated backend-error alias. Solver failures never escape this
-/// crate raw — every public API wraps them in [`FemError`] (and
-/// wire-level consumers get stable error-code strings through the
-/// unified `aeropack::Error`) — so code matching on this alias is
-/// matching an error this crate does not return.
-#[deprecated(
-    since = "0.2.0",
-    note = "fem APIs return FemError; use aeropack::Error for unified wire-level \
-            error codes"
-)]
-pub type SolverError = aeropack_solver::SolverError;

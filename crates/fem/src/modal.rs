@@ -152,7 +152,6 @@ pub fn modal(model: &Model, n_modes: usize) -> Result<ModalResult, FemError> {
             iterate_seconds: start.elapsed().as_secs_f64(),
             factorization: None,
             spectral: None,
-            dd: None,
         });
         (vals, vecs)
     };

@@ -557,9 +557,7 @@ impl MissionDriver {
         // shape the factor caches serve — upgrade to geometric
         // multigrid (the grid shape is always declared here) unless
         // the model was explicitly configured otherwise.
-        if solver_config.get_preconditioner() == aeropack_solver::Precond::Jacobi
-            && !solver_config.get_mixed_precision()
-        {
+        if solver_config.get_preconditioner() == aeropack_solver::Precond::Jacobi {
             solver_config = solver_config.preconditioner(aeropack_solver::Precond::Multigrid);
         }
 

@@ -323,12 +323,29 @@ pub fn write_env_report() -> std::io::Result<Option<PathBuf>> {
     }
 }
 
+/// Serialises unit tests on the process-global enable switch: tests
+/// that install a [`scoped`] override hold it shared, and the test
+/// that asserts the disabled default holds it exclusively, so no
+/// concurrent override can switch observability on underneath it.
+#[cfg(test)]
+static ENABLE_TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+#[cfg(test)]
+fn shared_enable_state() -> std::sync::RwLockReadGuard<'static, ()> {
+    ENABLE_TEST_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_mode_records_nothing() {
+        let _lock = ENABLE_TEST_LOCK
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         // Default state: disabled. Events must be no-ops against the
         // global registry.
         assert!(!enabled());
@@ -341,6 +358,7 @@ mod tests {
 
     #[test]
     fn scoped_override_isolates_and_enables() {
+        let _lock = shared_enable_state();
         let reg = Arc::new(Registry::new());
         {
             let _g = scoped(reg.clone());
@@ -365,6 +383,7 @@ mod tests {
 
     #[test]
     fn attach_inherits_without_enable_side_effects() {
+        let _lock = shared_enable_state();
         let reg = Arc::new(Registry::new());
         let _g = scoped(reg.clone());
         let handle = propagation_handle().expect("enabled inside scope");
@@ -379,6 +398,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_restore_previous_sink() {
+        let _lock = shared_enable_state();
         let outer = Arc::new(Registry::new());
         let inner = Arc::new(Registry::new());
         let _a = scoped(outer.clone());

@@ -90,6 +90,7 @@ mod tests {
 
     #[test]
     fn nesting_builds_slash_paths() {
+        let _lock = crate::shared_enable_state();
         let reg = Arc::new(Registry::new());
         {
             let _g = crate::scoped(reg.clone());
@@ -109,6 +110,7 @@ mod tests {
 
     #[test]
     fn out_of_order_drop_does_not_corrupt_the_stack() {
+        let _lock = crate::shared_enable_state();
         let reg = Arc::new(Registry::new());
         let _g = crate::scoped(reg.clone());
         let a = Span::start("a", None);

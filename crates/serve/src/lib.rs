@@ -19,12 +19,7 @@
 //!   fingerprinted ([`Workload::fingerprint`]); repeats are answered
 //!   without touching a solver, with LRU eviction,
 //! - **observability** — `serve.*` counters and a `serve.latency_ms`
-//!   histogram through `aeropack-obs`,
-//! - **multi-process sharding** — a daemon connection whose first line
-//!   is [`SHARD_HELLO`] upgrades to a binary frame protocol hosting one
-//!   shard of a domain-decomposed solve ([`sharded_solve_remote`],
-//!   bit-identical to the single-process solve), and [`shard_batch`]
-//!   fans request batches across daemon processes deterministically.
+//!   histogram through `aeropack-obs`.
 //!
 //! Two front doors share all of it: the in-process [`Client`] (what
 //! the experiments use) and a line-delimited JSON TCP daemon
@@ -54,7 +49,6 @@ mod error;
 mod queue;
 mod request;
 mod service;
-mod shard;
 mod transport;
 pub mod wire;
 mod workload;
@@ -66,7 +60,6 @@ pub use request::{
     MissionSpec, OptimizeSpec, PlateSpec, SchemeKind, SeatKind, SebSpec, TransientSpec,
 };
 pub use service::{Client, ServeConfig, Service, ServiceStats, ServiceTiming, Ticket};
-pub use shard::{run_worker, shard_batch, sharded_solve_remote, RemoteShard, SHARD_HELLO};
 pub use transport::{serve, Daemon, SocketClient};
 pub use workload::{
     run_all, BoardAnalysis, FemAnalysis, FemQuery, FvAnalysis, SebAnalysis, SebQuery, Workload,

@@ -13,7 +13,7 @@
 //! self-connection trick; in-flight connections finish their current
 //! request and exit when the peer closes or the service drains.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,20 +60,45 @@ impl Drop for Daemon {
     }
 }
 
+/// Longest request line the daemon reads, in bytes, newline excluded.
+/// A longer line is answered with a `wire` error and the connection is
+/// closed: the rest of the line cannot be told apart from the next
+/// request.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] found.
+enum Line {
+    /// The peer closed the connection.
+    Eof,
+    /// The buffer holds one line, terminator stripped.
+    Text,
+    /// The line is longer than [`MAX_LINE_BYTES`].
+    OverLong,
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] bytes into `buf`.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Line> {
+    buf.clear();
+    let n = reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n > MAX_LINE_BYTES {
+        return Ok(Line::OverLong);
+    }
+    Ok(Line::Text)
+}
+
 fn handle_connection(service: &Service, stream: TcpStream) -> Result<(), Error> {
-    // The first line decides the protocol: the shard-worker magic
-    // upgrades this connection to the binary frame protocol (the
-    // connection thread *becomes* the shard worker); anything else is
-    // the first line-JSON request.
     let mut writer_stream = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(());
-    }
-    if first.trim_end() == crate::shard::SHARD_HELLO {
-        return crate::shard::run_worker(reader, writer_stream);
-    }
     // Submit on the read side, resolve on the write side: every
     // pipelined line is queued *before* the first result is awaited,
     // which is what lets the service coalesce a batch arriving on one
@@ -97,41 +122,45 @@ fn handle_connection(service: &Service, stream: TcpStream) -> Result<(), Error> 
         .map_err(|e| Error::Io {
             reason: e.to_string(),
         })?;
-    let submit = |line: &str| -> Option<(u64, crate::service::Ticket)> {
-        if line.trim().is_empty() {
-            return None;
-        }
-        Some(match crate::wire::decode_request_line(line) {
-            Ok(req) => {
-                let deadline = req.deadline();
-                let ticket = service.submit_with(req.request, req.priority, deadline);
-                (req.id, ticket)
+    let rejected = |e: Error| (0, crate::service::Ticket::ready(Err(e)));
+    let mut buf = Vec::new();
+    let read_result = loop {
+        let queued = match read_line(&mut reader, &mut buf) {
+            Err(e) => break Err(Error::from(e)),
+            Ok(Line::Eof) => break Ok(()),
+            Ok(Line::OverLong) => {
+                let _ = tx.send(rejected(Error::Wire {
+                    reason: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                }));
+                break Ok(());
             }
-            Err(e) => (0, crate::service::Ticket::ready(Err(e))),
-        })
+            Ok(Line::Text) => match std::str::from_utf8(&buf) {
+                Err(e) => rejected(Error::Wire {
+                    reason: format!("request line is not valid UTF-8: {e}"),
+                }),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match crate::wire::decode_request_line(line) {
+                    Ok(req) => {
+                        let deadline = req.deadline();
+                        let ticket = service.submit_with(req.request, req.priority, deadline);
+                        (req.id, ticket)
+                    }
+                    Err(e) => rejected(e),
+                },
+            },
+        };
+        if tx.send(queued).is_err() {
+            break Ok(());
+        }
     };
-    let mut closed = false;
-    if let Some(queued) = submit(&first) {
-        closed = tx.send(queued).is_err();
-    }
-    if !closed {
-        for line in reader.lines() {
-            let line = line?;
-            let Some(queued) = submit(&line) else {
-                continue;
-            };
-            if tx.send(queued).is_err() {
-                break;
-            }
-        }
-    }
     drop(tx);
-    match writer_thread.join() {
+    let written = match writer_thread.join() {
         Ok(result) => result,
         Err(_) => Err(Error::Io {
             reason: "connection writer panicked".to_string(),
         }),
-    }
+    };
+    read_result.and(written)
 }
 
 /// Starts the TCP daemon for a shared service. `bind` is an address

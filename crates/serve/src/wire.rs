@@ -17,11 +17,9 @@
 //! ([`aeropack_obs::report::parse`]); any shape violation surfaces as
 //! [`Error::Wire`] rather than a panic.
 
-use std::io::{Read, Write};
 use std::time::Duration;
 
 use aeropack_obs::report::{parse, JsonValue};
-use aeropack_solver::{Slab, SlabSpec};
 
 use crate::error::Error;
 use crate::queue::Priority;
@@ -726,287 +724,6 @@ pub fn decode_request_line(line: &str) -> Result<WireRequest, Error> {
         priority,
         deadline_ms,
         request: decode_request(field(&v, "request")?)?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Binary frame codec for the shard-worker protocol.
-//
-// The line-JSON codec above carries *analyses*; sharded solves carry
-// *vectors* — a 64³ halo slice is half a megabyte per iteration, and
-// the solve's bit-identity guarantee forbids a lossy text round-trip.
-// Frames are `[u32 LE payload length][1-byte kind][payload]`; every
-// number travels as its exact little-endian bit pattern.
-// ---------------------------------------------------------------------
-
-/// Largest frame payload accepted (guards a corrupt length prefix from
-/// allocating unbounded memory).
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 28;
-
-/// Frame discriminants of the shard-worker protocol. The coordinator
-/// drives `Setup → (ApplyA | ApplyM)* → Done`; the worker answers
-/// `Ready`, `Ap`, `Z`, or `Err`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameKind {
-    /// Coordinator → worker: a [`SlabSpec`] payload; factor and hold.
-    Setup = 1,
-    /// Worker → coordinator: setup accepted, factors ready.
-    Ready = 2,
-    /// Coordinator → worker: extended-range `x`; apply the slab matrix.
-    ApplyA = 3,
-    /// Worker → coordinator: owned-range `A·x` answering [`ApplyA`](Self::ApplyA).
-    Ap = 4,
-    /// Coordinator → worker: extended-range residual; apply the tiles.
-    ApplyM = 5,
-    /// Worker → coordinator: owned-range `M⁻¹·r` answering [`ApplyM`](Self::ApplyM).
-    Z = 6,
-    /// Coordinator → worker: solve finished, release the shard.
-    Done = 7,
-    /// Worker → coordinator: a UTF-8 error message.
-    Err = 8,
-}
-
-impl FrameKind {
-    /// Decodes a frame discriminant byte.
-    pub fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            1 => Some(Self::Setup),
-            2 => Some(Self::Ready),
-            3 => Some(Self::ApplyA),
-            4 => Some(Self::Ap),
-            5 => Some(Self::ApplyM),
-            6 => Some(Self::Z),
-            7 => Some(Self::Done),
-            8 => Some(Self::Err),
-            _ => None,
-        }
-    }
-}
-
-/// Writes one frame and flushes the stream.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects a payload above [`MAX_FRAME_PAYLOAD`].
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), Error> {
-    if payload.len() > MAX_FRAME_PAYLOAD {
-        return Err(wire_err(format!(
-            "frame payload of {} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap",
-            payload.len()
-        )));
-    }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[kind as u8])?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads bytes until `buf` is full or the stream ends; returns how many
-/// bytes actually arrived.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, Error> {
-    let mut got = 0;
-    while got < buf.len() {
-        let n = r.read(&mut buf[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    Ok(got)
-}
-
-/// Reads one frame. `Ok(None)` is a clean end-of-stream *between*
-/// frames (the peer closed after a complete exchange); a stream that
-/// ends mid-frame is an error.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects truncated frames, unknown kinds, and
-/// lengths above [`MAX_FRAME_PAYLOAD`].
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, Error> {
-    let mut head = [0u8; 5];
-    match read_full(r, &mut head)? {
-        0 => return Ok(None),
-        5 => {}
-        _ => return Err(wire_err("stream ended inside a frame header")),
-    }
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(wire_err(format!(
-            "frame length {len} exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
-        )));
-    }
-    let kind = FrameKind::from_byte(head[4])
-        .ok_or_else(|| wire_err(format!("unknown frame kind byte {}", head[4])))?;
-    let mut payload = vec![0u8; len];
-    if read_full(r, &mut payload)? != len {
-        return Err(wire_err("stream ended inside a frame payload"));
-    }
-    Ok(Some((kind, payload)))
-}
-
-/// Encodes a vector as raw little-endian `f64` bit patterns (lossless
-/// for every value, including non-finite ones).
-pub fn encode_f64s(vs: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vs.len() * 8);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a raw `f64` vector payload.
-///
-/// # Errors
-///
-/// Rejects a payload that is not a whole number of 8-byte values.
-pub fn decode_f64s(payload: &[u8]) -> Result<Vec<f64>, Error> {
-    if !payload.len().is_multiple_of(8) {
-        return Err(wire_err(format!(
-            "f64 vector payload of {} bytes is not a multiple of 8",
-            payload.len()
-        )));
-    }
-    Ok(payload
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect())
-}
-
-fn put_u64(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&(v as u64).to_le_bytes());
-}
-
-fn put_slab(out: &mut Vec<u8>, s: &Slab) {
-    put_u64(out, s.own_start);
-    put_u64(out, s.own_end);
-    put_u64(out, s.ext_start);
-    put_u64(out, s.ext_end);
-}
-
-/// A bounds-checked reader over a frame payload.
-struct Take<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Take<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], Error> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| wire_err("slab spec payload is truncated"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u64(&mut self) -> Result<usize, Error> {
-        let b = self.bytes(8)?;
-        let v = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        usize::try_from(v).map_err(|_| wire_err("slab spec value overflows usize"))
-    }
-
-    fn slab(&mut self) -> Result<Slab, Error> {
-        Ok(Slab {
-            own_start: self.u64()?,
-            own_end: self.u64()?,
-            ext_start: self.u64()?,
-            ext_end: self.u64()?,
-        })
-    }
-
-    fn u64s(&mut self) -> Result<Vec<usize>, Error> {
-        let len = self.u64()?;
-        if len > MAX_FRAME_PAYLOAD / 8 {
-            return Err(wire_err("slab spec vector length is implausible"));
-        }
-        (0..len).map(|_| self.u64()).collect()
-    }
-
-    fn f64s(&mut self) -> Result<Vec<f64>, Error> {
-        let len = self.u64()?;
-        if len > MAX_FRAME_PAYLOAD / 8 {
-            return Err(wire_err("slab spec vector length is implausible"));
-        }
-        let b = self.bytes(len * 8)?;
-        decode_f64s(b)
-    }
-
-    fn finish(self) -> Result<(), Error> {
-        if self.pos != self.buf.len() {
-            return Err(wire_err("slab spec payload has trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
-/// Encodes a [`SlabSpec`] as a `Setup` frame payload: every integer as
-/// `u64` LE, every matrix value as its exact `f64` bit pattern.
-pub fn encode_slab_spec(spec: &SlabSpec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        8 * (4 + 4 * spec.tiles.len() + spec.row_ptr.len() + spec.col_idx.len() + spec.vals.len())
-            + 40,
-    );
-    put_u64(&mut out, spec.plane);
-    put_u64(&mut out, spec.nplanes);
-    put_slab(&mut out, &spec.slab);
-    put_u64(&mut out, spec.tiles.len());
-    for t in &spec.tiles {
-        put_slab(&mut out, t);
-    }
-    put_u64(&mut out, spec.row_ptr.len());
-    for &v in &spec.row_ptr {
-        put_u64(&mut out, v);
-    }
-    put_u64(&mut out, spec.col_idx.len());
-    for &v in &spec.col_idx {
-        put_u64(&mut out, v);
-    }
-    put_u64(&mut out, spec.vals.len());
-    out.extend_from_slice(&encode_f64s(&spec.vals));
-    out
-}
-
-/// Decodes a `Setup` frame payload back into a [`SlabSpec`].
-///
-/// # Errors
-///
-/// Rejects truncated, oversized, or trailing-byte payloads. Structural
-/// validity of the spec itself (shapes, tile ranges) is checked by
-/// `SlabWorker::new`, not here.
-pub fn decode_slab_spec(payload: &[u8]) -> Result<SlabSpec, Error> {
-    let mut t = Take::new(payload);
-    let plane = t.u64()?;
-    let nplanes = t.u64()?;
-    let slab = t.slab()?;
-    let tile_count = t.u64()?;
-    if tile_count > MAX_FRAME_PAYLOAD / 32 {
-        return Err(wire_err("slab spec tile count is implausible"));
-    }
-    let tiles = (0..tile_count)
-        .map(|_| t.slab())
-        .collect::<Result<Vec<Slab>, Error>>()?;
-    let row_ptr = t.u64s()?;
-    let col_idx = t.u64s()?;
-    let vals = t.f64s()?;
-    t.finish()?;
-    Ok(SlabSpec {
-        plane,
-        nplanes,
-        slab,
-        tiles,
-        row_ptr,
-        col_idx,
-        vals,
     })
 }
 

@@ -1,10 +1,13 @@
-//! Wire codec round-trips and a socket end-to-end exchange.
+//! Wire codec round-trips and socket end-to-end exchanges.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use aeropack_serve::wire::{
-    decode_request_line, decode_response_line, encode_request_line, encode_response_line,
-    WireRequest, WireResponse,
+    decode_request_line, decode_response_line, encode_request_line, encode_response,
+    encode_response_line, WireRequest, WireResponse,
 };
 use aeropack_serve::{
     serve, AnalysisRequest, AnalysisResponse, BoardSpec, CoolingModeSpec, Error, FemPlateSpec,
@@ -294,6 +297,147 @@ fn malformed_lines_surface_as_wire_errors() {
     ));
 }
 
+/// The daemon's per-line read cap, in bytes (newline excluded).
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The request the raw-socket tests send and compare across
+/// connections.
+fn probe_request() -> AnalysisRequest {
+    AnalysisRequest::FvSteady {
+        spec: plate_spec(),
+        scale: 1.0,
+    }
+}
+
+fn probe_line(id: u64) -> String {
+    let mut line = encode_request_line(&WireRequest {
+        id,
+        priority: Priority::Normal,
+        deadline_ms: None,
+        request: probe_request(),
+    });
+    line.push('\n');
+    line
+}
+
+/// A raw connection: the tests below write bytes no [`SocketClient`]
+/// would produce.
+fn raw_connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// Reads one response line; `None` when the daemon closed the
+/// connection (a reset counts as closed: the daemon may drop unread
+/// input).
+fn read_response(reader: &mut BufReader<TcpStream>) -> Option<WireResponse> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(0) => None,
+        Ok(_) => Some(decode_response_line(line.trim_end()).expect("response line")),
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => None,
+        Err(e) => panic!("reading a response failed: {e}"),
+    }
+}
+
+fn wire_error(response: WireResponse) -> String {
+    assert_eq!(response.id, 0, "a malformed line has no id to echo");
+    match response.result {
+        Err(Error::Remote { code, message }) => {
+            assert_eq!(code, "wire", "message: {message}");
+            message
+        }
+        other => panic!("expected a wire error, got {other:?}"),
+    }
+}
+
+/// Asserts that a fresh connection to the daemon answers the probe
+/// with exactly the bits it answered before the bad input.
+fn assert_fresh_connection_answers(addr: std::net::SocketAddr, reference: &AnalysisResponse) {
+    let mut client = SocketClient::connect(addr).expect("connect");
+    let answer = client.call(probe_request()).expect("probe call");
+    assert_eq!(encode_response(&answer), encode_response(reference));
+}
+
+#[test]
+fn invalid_utf8_line_is_a_wire_error_and_the_connection_goes_on() {
+    let service = Arc::new(Service::start(ServeConfig::new().workers(1)));
+    let mut daemon = serve(Arc::clone(&service), "127.0.0.1:0").expect("daemon");
+    let reference = SocketClient::connect(daemon.addr())
+        .expect("connect")
+        .call(probe_request())
+        .expect("reference call");
+
+    let (mut stream, mut reader) = raw_connect(daemon.addr());
+    let mut bytes = b"{\"id\":1,\"request\":\"\xff\xfe\"}\n".to_vec();
+    bytes.extend_from_slice(probe_line(2).as_bytes());
+    stream.write_all(&bytes).expect("write");
+    let first = read_response(&mut reader).expect("a response to the invalid line");
+    let message = wire_error(first);
+    assert!(message.contains("UTF-8"), "message: {message}");
+    let second = read_response(&mut reader).expect("the connection stays open");
+    assert_eq!(second.id, 2);
+    assert_eq!(
+        encode_response(&second.result.expect("probe answer")),
+        encode_response(&reference)
+    );
+    drop(stream);
+
+    assert_fresh_connection_answers(daemon.addr(), &reference);
+    daemon.shutdown();
+    service.shutdown();
+}
+
+#[test]
+fn over_long_line_is_a_wire_error_and_closes_the_connection() {
+    let service = Arc::new(Service::start(ServeConfig::new().workers(1)));
+    let mut daemon = serve(Arc::clone(&service), "127.0.0.1:0").expect("daemon");
+    let reference = SocketClient::connect(daemon.addr())
+        .expect("connect")
+        .call(probe_request())
+        .expect("reference call");
+
+    let (mut stream, mut reader) = raw_connect(daemon.addr());
+    let mut bytes = vec![b'x'; MAX_LINE_BYTES + 1];
+    bytes.push(b'\n');
+    bytes.extend_from_slice(probe_line(2).as_bytes());
+    // The daemon stops reading at the cap, so the tail of this write
+    // may meet a closed socket; the response is read either way.
+    let _ = stream.write_all(&bytes);
+    let first = read_response(&mut reader).expect("a response to the over-long line");
+    let message = wire_error(first);
+    assert!(
+        message.contains(&format!("exceeds {MAX_LINE_BYTES} bytes")),
+        "message: {message}"
+    );
+    assert!(
+        read_response(&mut reader).is_none(),
+        "the daemon must close the connection after an over-long line"
+    );
+
+    // A line exactly at the cap is still read as a request line.
+    let (mut stream, mut reader) = raw_connect(daemon.addr());
+    let mut at_cap = vec![b' '; MAX_LINE_BYTES];
+    let probe = probe_line(3);
+    at_cap[..probe.len() - 1].copy_from_slice(&probe.as_bytes()[..probe.len() - 1]);
+    at_cap.push(b'\n');
+    stream.write_all(&at_cap).expect("write");
+    let answer = read_response(&mut reader).expect("a response at the cap");
+    assert_eq!(answer.id, 3);
+    assert_eq!(
+        encode_response(&answer.result.expect("probe answer")),
+        encode_response(&reference)
+    );
+
+    assert_fresh_connection_answers(daemon.addr(), &reference);
+    daemon.shutdown();
+    service.shutdown();
+}
+
 #[test]
 fn zero_deadline_round_trips_a_stable_invalid_code() {
     let service = Arc::new(Service::start(ServeConfig::new().workers(1)));
@@ -363,84 +507,4 @@ fn socket_daemon_answers_calls_and_pipelined_batches() {
 
     daemon.shutdown();
     service.shutdown();
-}
-
-// ---------------------------------------------------------------------
-// Binary frame codec (the shard-worker protocol).
-// ---------------------------------------------------------------------
-
-#[test]
-fn frames_round_trip_with_exact_f64_bits() {
-    use aeropack_serve::wire::{decode_f64s, encode_f64s, read_frame, write_frame, FrameKind};
-    let values = [
-        0.0,
-        -0.0,
-        1.5,
-        f64::MIN_POSITIVE,
-        f64::MAX,
-        -1.0 / 3.0,
-        f64::INFINITY,
-    ];
-    let mut buf = Vec::new();
-    write_frame(&mut buf, FrameKind::ApplyA, &encode_f64s(&values)).unwrap();
-    write_frame(&mut buf, FrameKind::Done, &[]).unwrap();
-    let mut cursor = &buf[..];
-    let (kind, payload) = read_frame(&mut cursor).unwrap().unwrap();
-    assert_eq!(kind, FrameKind::ApplyA);
-    let decoded = decode_f64s(&payload).unwrap();
-    assert_eq!(decoded.len(), values.len());
-    for (got, want) in decoded.iter().zip(&values) {
-        assert_eq!(got.to_bits(), want.to_bits());
-    }
-    let (kind, payload) = read_frame(&mut cursor).unwrap().unwrap();
-    assert_eq!(kind, FrameKind::Done);
-    assert!(payload.is_empty());
-    // Clean end-of-stream between frames is None, not an error.
-    assert!(read_frame(&mut cursor).unwrap().is_none());
-}
-
-#[test]
-fn malformed_frames_are_rejected() {
-    use aeropack_serve::wire::{decode_f64s, read_frame};
-    // Truncated header.
-    assert!(read_frame(&mut &[1u8, 0, 0][..]).is_err());
-    // Unknown kind byte.
-    assert!(read_frame(&mut &[0u8, 0, 0, 0, 99][..]).is_err());
-    // Length prefix past the cap.
-    assert!(read_frame(&mut &[0xff, 0xff, 0xff, 0xff, 1][..]).is_err());
-    // Payload shorter than its declared length.
-    assert!(read_frame(&mut &[4u8, 0, 0, 0, 3, 1, 2][..]).is_err());
-    // A vector payload must be whole f64s.
-    assert!(decode_f64s(&[0u8; 12]).is_err());
-}
-
-#[test]
-fn slab_specs_round_trip_through_the_frame_payload() {
-    use aeropack_serve::wire::{decode_slab_spec, encode_slab_spec};
-    use aeropack_solver::{CsrMatrix, Partition, SlabSpec};
-    let (nx, ny, nz) = (4, 3, 8);
-    let n = nx * ny * nz;
-    let a = CsrMatrix::from_row_fn(n, 1, move |i, row| {
-        row.push((i, 6.5));
-        if i >= nx * ny {
-            row.push((i - nx * ny, -1.0));
-        }
-        if i + nx * ny < n {
-            row.push((i + nx * ny, -1.0));
-        }
-        row.sort_by_key(|&(c, _)| c);
-    });
-    let part = Partition::new(n, Some((nx, ny, nz)), 4).unwrap();
-    for (slab, tile_range) in part.shard_layout(2) {
-        let spec = SlabSpec::extract(&a, &part, slab, &part.tiles()[tile_range]).unwrap();
-        let decoded = decode_slab_spec(&encode_slab_spec(&spec)).unwrap();
-        assert_eq!(decoded, spec);
-    }
-    // Garbage payloads fail cleanly.
-    assert!(decode_slab_spec(&[0u8; 7]).is_err());
-    let mut extra = encode_slab_spec(
-        &SlabSpec::extract(&a, &part, part.shard_layout(1)[0].0, part.tiles()).unwrap(),
-    );
-    extra.push(0);
-    assert!(decode_slab_spec(&extra).is_err());
 }

@@ -54,7 +54,6 @@ pub struct SolverConfig {
     context: &'static str,
     record_history: bool,
     reorder: Reorder,
-    mixed_precision: bool,
     grid_dims: Option<(usize, usize, usize)>,
 }
 
@@ -69,7 +68,6 @@ impl Default for SolverConfig {
             context: "linear solve",
             record_history: true,
             reorder: Reorder::Auto,
-            mixed_precision: false,
             grid_dims: None,
         }
     }
@@ -183,26 +181,6 @@ impl SolverConfig {
     /// The configured reordering policy.
     pub fn get_reorder(&self) -> Reorder {
         self.reorder
-    }
-
-    /// Enables the opt-in mixed-precision solve path: an `f32` inner
-    /// Jacobi-PCG wrapped in an `f64` iterative-refinement outer loop.
-    /// The inner sweeps run at double the effective memory bandwidth;
-    /// the outer loop recovers full `f64` accuracy by re-solving for
-    /// the residual correction until the requested tolerance is met in
-    /// `f64` arithmetic. **Off by default** — the default path is
-    /// bit-exact with previous releases and all golden snapshots. Only
-    /// [`Precond::Jacobi`] and [`Precond::None`] are supported while
-    /// the mode is on (the inner iteration preconditioner is Jacobi).
-    #[must_use]
-    pub fn mixed_precision(mut self, on: bool) -> Self {
-        self.mixed_precision = on;
-        self
-    }
-
-    /// Whether the mixed-precision path is enabled.
-    pub fn get_mixed_precision(&self) -> bool {
-        self.mixed_precision
     }
 
     /// Declares the structured-grid shape `(nx, ny, nz)` behind the

@@ -536,25 +536,6 @@ impl SellMatrix {
     }
 }
 
-/// Serial `f32` SpMV over shared CSR index arrays — the inner kernel
-/// of the mixed-precision solve path, which keeps the `f64` structure
-/// and carries only a single-precision copy of the values.
-pub(crate) fn spmv_f32(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f32],
-    x: &[f32],
-    y: &mut [f32],
-) {
-    for (i, yi) in y.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for idx in row_ptr[i]..row_ptr[i + 1] {
-            acc += vals[idx] * x[col_idx[idx]];
-        }
-        *yi = acc;
-    }
-}
-
 /// Numeric-only row fill over a cached pattern: sorts the emitted
 /// entries (stable, so duplicate summation order matches a full
 /// assembly) and scatters them into the pattern's slots.

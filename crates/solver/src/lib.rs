@@ -26,14 +26,7 @@
 //!   Cholesky coarse solve; Chebyshev is its pure-algebraic fallback
 //!   (power-method spectral bounds cached in the workspace). Large
 //!   solves route SpMV through a cache-blocked SELL-style layout
-//!   ([`SellMatrix`]), and [`SolverConfig::mixed_precision`] opts into
-//!   f32 inner sweeps wrapped in f64 iterative refinement.
-//! * [`ShardedSolve`] — domain-decomposed PCG: the structured grid
-//!   partitions into slab subdomains ([`Partition`]) with one-plane
-//!   halos ([`HaloExchange`]), [`Precond::AdditiveSchwarz`] applies
-//!   barrier-free per-subdomain IC(0) factors, and shards execute
-//!   in-process or across worker processes over the `aeropack-serve`
-//!   wire — bit-identical at any shard count and any thread count.
+//!   ([`SellMatrix`]).
 //! * [`DenseCholesky`] / [`DenseLu`] — the dense direct factorisations
 //!   behind resistive networks and the FEM eigen solvers, reachable
 //!   through the same [`SolverConfig`] front door via [`solve_dense`].
@@ -68,11 +61,9 @@
 mod cheb;
 mod config;
 mod csr;
-mod dd;
 mod dense;
 mod error;
 mod fingerprint;
-mod halo;
 mod ic0;
 mod mg;
 mod pcg;
@@ -82,20 +73,15 @@ mod stats;
 pub use cheb::{estimate_dinv_spectrum, EigBounds};
 pub use config::{Reorder, Solution, SolverConfig};
 pub use csr::{CsrMatrix, CsrPattern, SellMatrix};
-pub use dd::{
-    shards_from_env, tree_dot, tree_norm, Partition, ShardedSolve, Slab, SlabOperator, SlabSpec,
-    SlabWorker,
-};
 pub use dense::{solve_dense, DenseCholesky, DenseLu};
 pub use error::SolverError;
 pub use fingerprint::Fingerprint;
-pub use halo::{HaloExchange, HaloLink};
 pub use pcg::{
     solve_multi_rhs, solve_multi_rhs_with, solve_operator, solve_sparse, solve_sparse_into,
     solve_sparse_with, PcgWorkspace,
 };
 pub use reorder::{bandwidth, rcm_permutation};
-pub use stats::{DdStats, FactorStats, Method, Precond, SolverStats, SpectralStats};
+pub use stats::{FactorStats, Method, Precond, SolverStats, SpectralStats};
 
 /// A symmetric (or general) linear operator `y = A·x` — the
 /// architectural seam the physics crates program against. Sparse

@@ -23,13 +23,12 @@ use crate::cheb::{
     FALLBACK_CHEB_STEPS, POWER_ITERS,
 };
 use crate::config::{Solution, SolverConfig};
-use crate::csr::{spmv_f32, CsrMatrix, SellMatrix};
-use crate::dd::{Partition, SchwarzSet};
+use crate::csr::{CsrMatrix, SellMatrix};
 use crate::error::SolverError;
 use crate::ic0::Ic0Factor;
 use crate::mg::MgHierarchy;
 use crate::reorder::{rcm_permutation, PermutedSystem};
-use crate::stats::{DdStats, FactorStats, Method, Precond, SolverStats, SpectralStats};
+use crate::stats::{FactorStats, Method, Precond, SolverStats, SpectralStats};
 use crate::LinearOperator;
 
 /// Systems at or above this size run their SpMVs through the blocked
@@ -64,10 +63,6 @@ enum Preconditioner<'a> {
         matrix: &'a CsrMatrix,
         sell: Option<&'a SellMatrix>,
         hier: &'a mut MgHierarchy,
-        threads: usize,
-    },
-    Schwarz {
-        set: &'a mut SchwarzSet,
         threads: usize,
     },
 }
@@ -118,7 +113,6 @@ impl Preconditioner<'_> {
                 };
                 hier.apply(&op, r, z, threads);
             }
-            Self::Schwarz { set, threads } => set.apply(0, r, 0, z, *threads),
         }
     }
 }
@@ -181,39 +175,6 @@ struct SellCache {
     sell: SellMatrix,
 }
 
-/// The workspace's cached additive-Schwarz tile set, keyed like
-/// [`Ic0Cache`] on the unpermuted system pattern (additive Schwarz
-/// never reorders) plus the resolved tile count. A snapshot hit reuses
-/// every tile factor outright; a pattern hit with new values refactors
-/// each tile numerically in place, allocation-free.
-#[derive(Debug, Clone)]
-struct AsCache {
-    key: (usize, usize),
-    vals_snapshot: Vec<f64>,
-    requested: usize,
-    grid_dims: Option<(usize, usize, usize)>,
-    part: Partition,
-    set: SchwarzSet,
-}
-
-/// The workspace's mixed-precision state: the `f32` shadow of the
-/// matrix values and diagonal plus the inner-CG buffers, keyed like
-/// [`Ic0Cache`].
-#[derive(Debug, Clone)]
-struct MixedCache {
-    key: (usize, usize),
-    vals_snapshot: Vec<f64>,
-    vals32: Vec<f32>,
-    diag32: Vec<f32>,
-    b32: Vec<f32>,
-    d32: Vec<f32>,
-    r32: Vec<f32>,
-    z32: Vec<f32>,
-    p32: Vec<f32>,
-    ap32: Vec<f32>,
-    rd: Vec<f64>,
-}
-
 /// Reusable PCG scratch space: the residual/search/preconditioner
 /// buffers, the screened diagonal, and — for [`Precond::Ic0`] — the
 /// cached RCM permutation and IC(0) factor. Create one per solving
@@ -238,8 +199,6 @@ pub struct PcgWorkspace {
     cheb: Option<ChebCache>,
     mg: Option<MgCache>,
     sell: Option<SellCache>,
-    mixed: Option<MixedCache>,
-    schwarz: Option<AsCache>,
 }
 
 impl PcgWorkspace {
@@ -369,26 +328,6 @@ pub fn solve_sparse_into(
             ));
         }
     }
-    if matches!(precond_kind, Precond::AdditiveSchwarz(_)) && cfg.rcm_engages() {
-        return Err(SolverError::invalid(
-            "RCM reordering scrambles the slab partition additive Schwarz \
-             is built on (use Reorder::None or Reorder::Auto)",
-        ));
-    }
-    if cfg.get_mixed_precision() {
-        if !matches!(precond_kind, Precond::Jacobi | Precond::None) {
-            return Err(SolverError::invalid(
-                "mixed-precision solves support Precond::Jacobi / Precond::None \
-                 (the inner f32 iteration is Jacobi-preconditioned)",
-            ));
-        }
-        if cfg.rcm_engages() {
-            return Err(SolverError::invalid(
-                "mixed-precision solves do not support RCM reordering",
-            ));
-        }
-        return solve_mixed_into(ws, a, b, x, cfg, setup_start);
-    }
     let threads = cfg.get_threads();
     let use_rcm = cfg.rcm_engages() && n > 1;
     if use_rcm && precond_kind == Precond::Multigrid {
@@ -411,8 +350,6 @@ pub fn solve_sparse_into(
         cheb,
         mg,
         sell,
-        mixed: _,
-        schwarz,
     } = ws;
     if use_rcm {
         ensure_reorder(reorder, a);
@@ -438,27 +375,8 @@ pub fn solve_sparse_into(
     } else {
         None
     };
-    // Additive Schwarz resolves its tile ladder from the grid shape
-    // (0 = auto) and reports the resolved count as the effective kind.
-    // The partition and tile factors live in the workspace cache, so a
-    // warm solve allocates nothing.
-    let mut dd_info: Option<(usize, usize)> = None;
-    let mut as_stats: Option<FactorStats> = None;
-    if let Precond::AdditiveSchwarz(requested) = precond_kind {
-        as_stats = Some(ensure_as(
-            schwarz,
-            system,
-            cfg.get_grid_dims(),
-            requested,
-            cfg.get_context(),
-        )?);
-        let c = schwarz.as_ref().expect("tiles ensured above");
-        precond_kind = Precond::AdditiveSchwarz(c.part.tile_count());
-        dd_info = Some((c.part.tile_count(), c.part.halo_cells()));
-    }
     let factorization = match precond_kind {
         Precond::Ic0 => Some(ensure_ic0(ic0, system, use_rcm, cfg.get_context())?),
-        Precond::AdditiveSchwarz(_) => as_stats,
         _ => None,
     };
     let spectral = match precond_kind {
@@ -499,13 +417,9 @@ pub fn solve_sparse_into(
             hier: &mut mg.as_mut().expect("hierarchy ensured above").hier,
             threads,
         },
-        Precond::AdditiveSchwarz(_) => Preconditioner::Schwarz {
-            set: &mut schwarz.as_mut().expect("tiles ensured above").set,
-            threads,
-        },
     };
     let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let mut stats = if let Some(sys) = sys {
+    if let Some(sys) = sys {
         bp.resize(n, 0.0);
         xp.resize(n, 0.0);
         sys.permute_into(b, bp);
@@ -525,7 +439,7 @@ pub fn solve_sparse_into(
             (factorization, spectral, setup_seconds),
         )?;
         sys.scatter_back(xp, x);
-        stats
+        Ok(stats)
     } else {
         pcg_loop(
             |v, y| match sell_ref {
@@ -541,19 +455,8 @@ pub fn solve_sparse_into(
             cfg,
             n,
             (factorization, spectral, setup_seconds),
-        )?
-    };
-    if let (Some((subdomains, halo_cells)), Preconditioner::Schwarz { set, .. }) =
-        (dd_info, &precond)
-    {
-        stats.dd = Some(DdStats {
-            subdomains,
-            shards: 1,
-            halo_cells,
-            exchange_seconds: set.exchange_seconds(),
-        });
+        )
     }
-    Ok(stats)
 }
 
 /// Brings the workspace's RCM cache in sync with `a`: a pattern hit
@@ -626,62 +529,6 @@ fn ensure_ic0(
         key,
         factor,
         vals_snapshot: m.values().to_vec(),
-    });
-    Ok(stats)
-}
-
-/// Brings the workspace's additive-Schwarz cache in sync with `m` (the
-/// unpermuted system — AS rejects RCM) and the resolved partition, and
-/// returns aggregated factorisation stats for this solve. Pattern hits
-/// with new values refactor every tile in place, allocation-free.
-fn ensure_as(
-    cache: &mut Option<AsCache>,
-    m: &CsrMatrix,
-    grid_dims: Option<(usize, usize, usize)>,
-    requested: usize,
-    context: &'static str,
-) -> Result<FactorStats, SolverError> {
-    let key = m.pattern().key();
-    if let Some(c) = cache.as_mut() {
-        if c.key == key && c.requested == requested && c.grid_dims == grid_dims {
-            if c.vals_snapshot.as_slice() == m.values() {
-                aeropack_obs::counter!("solver.dd.tile_reuses", c.set.tile_count());
-                return Ok(c.set.factor_stats(Duration::ZERO, true));
-            }
-            let t0 = Instant::now();
-            match c.set.refresh(m, context) {
-                Ok(retries) => {
-                    if retries > 0 {
-                        aeropack_obs::counter!("solver.dd.shift_retries", retries);
-                    }
-                    c.vals_snapshot.copy_from_slice(m.values());
-                    return Ok(c.set.factor_stats(t0.elapsed(), false));
-                }
-                Err(e) => {
-                    // Numeric content is now garbage; drop the cache so
-                    // a future solve rebuilds from scratch.
-                    *cache = None;
-                    return Err(e);
-                }
-            }
-        }
-    }
-    let part = Partition::new(m.n(), grid_dims, requested)?;
-    let t0 = Instant::now();
-    let set = SchwarzSet::build(m, 0, part.tiles(), part.plane(), context)?;
-    let retries = set.shift_retries();
-    if retries > 0 {
-        aeropack_obs::counter!("solver.dd.shift_retries", retries);
-    }
-    let stats = set.factor_stats(t0.elapsed(), false);
-    aeropack_obs::histogram!("solver.dd.factor_seconds", stats.factor_time.as_secs_f64());
-    *cache = Some(AsCache {
-        key,
-        vals_snapshot: m.values().to_vec(),
-        requested,
-        grid_dims,
-        part,
-        set,
     });
     Ok(stats)
 }
@@ -820,233 +667,6 @@ fn ensure_mg(
     Ok(stats)
 }
 
-/// Relative tolerance for the inner f32 Jacobi-CG sweep. Tighter than
-/// single-precision roundoff buys nothing; looser wastes outer
-/// refinement passes.
-const MIXED_INNER_TOL: f32 = 1e-4;
-/// Refinement passes before the mixed solve gives up.
-const MIXED_MAX_OUTER: usize = 60;
-/// An outer pass must shrink the f64 residual by at least this factor,
-/// otherwise refinement has stalled at the f32 accuracy floor.
-const MIXED_STALL_FACTOR: f64 = 0.9;
-
-/// Mixed-precision solve: f32 Jacobi-CG inner sweeps wrapped in f64
-/// iterative refinement. Each outer pass scales the f64 residual by
-/// its ∞-norm (so it spans the f32 range), solves the correction in
-/// single precision, and re-forms the true f64 residual.
-fn solve_mixed_into(
-    ws: &mut PcgWorkspace,
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &SolverConfig,
-    setup_start: Instant,
-) -> Result<SolverStats, SolverError> {
-    let n = a.n();
-    let threads = cfg.get_threads();
-    let context = cfg.get_context();
-    ensure_mixed(&mut ws.mixed, a);
-    if n >= SELL_MIN_ROWS {
-        ensure_sell(&mut ws.sell, a);
-    }
-    let PcgWorkspace {
-        history,
-        sell,
-        mixed,
-        ..
-    } = ws;
-    let mx = mixed.as_mut().expect("mixed cache ensured above");
-    if mx.diag32.iter().any(|&d| d <= 0.0) {
-        // A positive f64 diagonal can still underflow to zero in f32.
-        return Err(SolverError::Singular { context });
-    }
-    let sell_ref: Option<&SellMatrix> = if n >= SELL_MIN_ROWS {
-        sell.as_ref().map(|c| &c.sell)
-    } else {
-        None
-    };
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-    let iter_start = Instant::now();
-    aeropack_obs::counter!("solver.pcg.mixed_solves");
-    let tol = cfg.get_tolerance();
-    let record = cfg.get_record_history();
-    let budget = cfg.iteration_budget(n);
-    history.clear();
-    x.fill(0.0);
-    let stats = |iterations: usize, history: Vec<f64>, final_residual: f64| {
-        let iterate_seconds = iter_start.elapsed().as_secs_f64();
-        aeropack_obs::counter!("solver.pcg.solves");
-        aeropack_obs::counter!("solver.pcg.iterations", iterations);
-        SolverStats {
-            context,
-            method: Method::Pcg,
-            preconditioner: cfg.get_preconditioner(),
-            requested_preconditioner: cfg.get_preconditioner(),
-            unknowns: n,
-            threads: cfg.get_threads(),
-            iterations,
-            residual_history: history,
-            final_residual,
-            tolerance: tol,
-            wall_time: Duration::from_secs_f64(setup_seconds + iterate_seconds),
-            setup_seconds,
-            iterate_seconds,
-            factorization: None,
-            spectral: None,
-            dd: None,
-        }
-    };
-    let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if b_norm == 0.0 {
-        return Ok(stats(0, Vec::new(), 0.0));
-    }
-    mx.rd.copy_from_slice(b);
-    let mut total_inner = 0usize;
-    let mut rel = 1.0f64;
-    let mut prev_rel = f64::INFINITY;
-    for _outer in 0..MIXED_MAX_OUTER {
-        aeropack_obs::counter!("solver.pcg.mixed_refinements");
-        let scale = mx.rd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if scale == 0.0 {
-            rel = 0.0;
-            break;
-        }
-        for (b32, rd) in mx.b32.iter_mut().zip(mx.rd.iter()) {
-            *b32 = (rd / scale) as f32;
-        }
-        let remaining = budget.saturating_sub(total_inner).max(1);
-        total_inner += inner_cg_f32(a, mx, MIXED_INNER_TOL, remaining);
-        for (xi, d) in x.iter_mut().zip(mx.d32.iter()) {
-            *xi += scale * f64::from(*d);
-        }
-        match sell_ref {
-            Some(s) => s.spmv_into(x, &mut mx.rd, threads),
-            None => a.spmv_into(x, &mut mx.rd, threads),
-        }
-        for (rd, bi) in mx.rd.iter_mut().zip(b.iter()) {
-            *rd = bi - *rd;
-        }
-        rel = mx.rd.iter().map(|v| v * v).sum::<f64>().sqrt() / b_norm;
-        if record {
-            history.push(rel);
-        }
-        if rel <= tol {
-            let recorded = if record { history.clone() } else { Vec::new() };
-            return Ok(stats(total_inner, recorded, rel));
-        }
-        if rel >= prev_rel * MIXED_STALL_FACTOR || total_inner >= budget {
-            break;
-        }
-        prev_rel = rel;
-    }
-    if rel <= tol {
-        let recorded = if record { history.clone() } else { Vec::new() };
-        return Ok(stats(total_inner, recorded, rel));
-    }
-    aeropack_obs::counter!("solver.pcg.not_converged");
-    Err(SolverError::NotConverged {
-        context,
-        iterations: total_inner,
-        residual: rel,
-    })
-}
-
-/// Brings the workspace's f32 shadow of `a` (values + diagonal +
-/// iteration scratch) in sync; pattern hits with changed values
-/// re-demote in place without allocating.
-fn ensure_mixed(cache: &mut Option<MixedCache>, a: &CsrMatrix) {
-    let key = a.pattern().key();
-    if let Some(c) = cache {
-        if c.key == key {
-            if c.vals_snapshot.as_slice() != a.values() {
-                for (v32, &v) in c.vals32.iter_mut().zip(a.values()) {
-                    *v32 = v as f32;
-                }
-                for (i, d32) in c.diag32.iter_mut().enumerate() {
-                    *d32 = a.get(i, i) as f32;
-                }
-                c.vals_snapshot.copy_from_slice(a.values());
-            }
-            return;
-        }
-    }
-    let n = a.n();
-    *cache = Some(MixedCache {
-        key,
-        vals_snapshot: a.values().to_vec(),
-        vals32: a.values().iter().map(|&v| v as f32).collect(),
-        diag32: (0..n).map(|i| a.get(i, i) as f32).collect(),
-        b32: vec![0.0; n],
-        d32: vec![0.0; n],
-        r32: vec![0.0; n],
-        z32: vec![0.0; n],
-        p32: vec![0.0; n],
-        ap32: vec![0.0; n],
-        rd: vec![0.0; n],
-    });
-}
-
-/// Jacobi-preconditioned CG entirely in f32, solving `A·d = b32` into
-/// `mx.d32`. Returns the iteration count; bails early (letting the
-/// outer refinement recover) when f32 roundoff makes the curvature
-/// non-positive or non-finite.
-fn inner_cg_f32(a: &CsrMatrix, mx: &mut MixedCache, tol: f32, max_iter: usize) -> usize {
-    let n = a.n();
-    let row_ptr = a.row_offsets();
-    let cols = a.col_indices();
-    let MixedCache {
-        vals32,
-        diag32,
-        b32,
-        d32,
-        r32,
-        z32,
-        p32,
-        ap32,
-        ..
-    } = mx;
-    d32.fill(0.0);
-    r32.copy_from_slice(b32);
-    let bn = r32.iter().map(|v| v * v).sum::<f32>().sqrt();
-    if bn == 0.0 {
-        return 0;
-    }
-    for (z, (r, d)) in z32.iter_mut().zip(r32.iter().zip(diag32.iter())) {
-        *z = r / d;
-    }
-    p32.copy_from_slice(z32);
-    let mut rz: f32 = r32.iter().zip(z32.iter()).map(|(a, b)| a * b).sum();
-    for iter in 0..max_iter {
-        spmv_f32(row_ptr, cols, vals32, p32, ap32);
-        let pap: f32 = p32.iter().zip(ap32.iter()).map(|(a, b)| a * b).sum();
-        if pap <= 0.0 || !pap.is_finite() {
-            return iter;
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            d32[i] += alpha * p32[i];
-            r32[i] -= alpha * ap32[i];
-        }
-        let rel = r32.iter().map(|v| v * v).sum::<f32>().sqrt() / bn;
-        if rel <= tol {
-            return iter + 1;
-        }
-        for (z, (r, d)) in z32.iter_mut().zip(r32.iter().zip(diag32.iter())) {
-            *z = r / d;
-        }
-        let rz_new: f32 = r32.iter().zip(z32.iter()).map(|(a, b)| a * b).sum();
-        if rz_new <= 0.0 || !rz_new.is_finite() {
-            return iter + 1;
-        }
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p32[i] = z32[i] + beta * p32[i];
-        }
-    }
-    max_iter
-}
-
 /// Solves the SPD system `A·x = b` for any [`LinearOperator`]
 /// (matrix-free stencils included). [`Precond::Ssor`] needs explicit
 /// storage and is rejected here — use [`solve_sparse`].
@@ -1098,12 +718,6 @@ pub fn solve_operator(
         Precond::Chebyshev(_) | Precond::Multigrid => {
             return Err(SolverError::invalid(
                 "spectral preconditioning needs explicit CSR storage (use solve_sparse)",
-            ))
-        }
-        Precond::AdditiveSchwarz(_) => {
-            return Err(SolverError::invalid(
-                "additive-Schwarz preconditioning needs explicit CSR storage \
-                 (use solve_sparse or ShardedSolve)",
             ))
         }
     };
@@ -1223,7 +837,6 @@ where
                 Precond::Ic0 => "solver.pcg.iterations.ic0",
                 Precond::Chebyshev(_) => "solver.pcg.iterations.chebyshev",
                 Precond::Multigrid => "solver.pcg.iterations.mg",
-                Precond::AdditiveSchwarz(_) => "solver.pcg.iterations.schwarz",
             },
             iterations
         );
@@ -1248,7 +861,6 @@ where
             iterate_seconds,
             factorization,
             spectral,
-            dd: None,
         }
     };
 
@@ -1725,120 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn additive_schwarz_solves_and_reports_resolved_tiles() {
-        let (nx, ny, nz) = (5, 4, 24);
-        let a = poisson3d(nx, ny, nz);
-        let b: Vec<f64> = (0..a.n()).map(|i| 1.0 + (i as f64 * 0.11).sin()).collect();
-        // Auto ladder: 24 planes resolve to 3 tiles of 8 planes.
-        let cfg = SolverConfig::new()
-            .preconditioner(Precond::AdditiveSchwarz(0))
-            .grid_dims((nx, ny, nz))
-            .tolerance(1e-11);
-        let sol = solve_sparse(&a, &b, &cfg).unwrap();
-        assert!(sol.stats.converged());
-        assert_eq!(sol.stats.preconditioner, Precond::AdditiveSchwarz(3));
-        assert_eq!(
-            sol.stats.requested_preconditioner,
-            Precond::AdditiveSchwarz(0)
-        );
-        let dd = sol.stats.dd.expect("AS reports partition stats");
-        assert_eq!(dd.subdomains, 3);
-        assert_eq!(dd.shards, 1);
-        assert!(dd.halo_cells > 0);
-        let factor = sol.stats.factorization.expect("AS reports factor stats");
-        assert!(factor.fill_nnz > 0);
-        assert!(!factor.reordered);
-        // The answer is right: cross-check against level-scheduled IC(0).
-        let ic0 = solve_sparse(
-            &a,
-            &b,
-            &SolverConfig::new()
-                .preconditioner(Precond::Ic0)
-                .tolerance(1e-11),
-        )
-        .unwrap();
-        for (p, q) in sol.x.iter().zip(&ic0.x) {
-            assert!((p - q).abs() < 1e-8, "AS {p} vs IC0 {q}");
-        }
-        // One tile over the whole grid degenerates to (unreordered)
-        // global IC(0) and must match its iteration count.
-        let one = solve_sparse(
-            &a,
-            &b,
-            &SolverConfig::new()
-                .preconditioner(Precond::AdditiveSchwarz(1))
-                .grid_dims((nx, ny, nz))
-                .tolerance(1e-11),
-        )
-        .unwrap();
-        let plain_ic0 = solve_sparse(
-            &a,
-            &b,
-            &SolverConfig::new()
-                .preconditioner(Precond::Ic0)
-                .reorder(crate::config::Reorder::None)
-                .tolerance(1e-11),
-        )
-        .unwrap();
-        assert_eq!(one.stats.iterations, plain_ic0.stats.iterations);
-    }
-
-    #[test]
-    fn additive_schwarz_is_thread_count_invariant_and_caches() {
-        let (nx, ny, nz) = (4, 4, 16);
-        let a = poisson3d(nx, ny, nz);
-        let b: Vec<f64> = (0..a.n()).map(|i| 0.5 + (i as f64 * 0.07).cos()).collect();
-        let base_cfg = SolverConfig::new()
-            .preconditioner(Precond::AdditiveSchwarz(4))
-            .grid_dims((nx, ny, nz))
-            .tolerance(1e-11);
-        let mut ws = PcgWorkspace::new();
-        let base = solve_sparse_with(&mut ws, &a, &b, &base_cfg).unwrap();
-        assert!(!base.stats.factorization.unwrap().reused);
-        // Second solve through the same workspace reuses every tile.
-        let again = solve_sparse_with(&mut ws, &a, &b, &base_cfg).unwrap();
-        assert!(again.stats.factorization.unwrap().reused);
-        assert_eq!(again.stats.iterations, base.stats.iterations);
-        for (p, q) in again.x.iter().zip(&base.x) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-        // Thread count changes nothing, bit for bit.
-        for threads in [2, 8] {
-            let cfg = base_cfg.clone().threads(threads);
-            let sol = solve_sparse(&a, &b, &cfg).unwrap();
-            assert_eq!(sol.stats.iterations, base.stats.iterations);
-            for (p, q) in sol.x.iter().zip(&base.x) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn additive_schwarz_rejects_rcm_and_operator_solves() {
-        let a = poisson3d(3, 3, 6);
-        let b = vec![1.0; a.n()];
-        assert!(matches!(
-            solve_sparse(
-                &a,
-                &b,
-                &SolverConfig::new()
-                    .preconditioner(Precond::AdditiveSchwarz(2))
-                    .grid_dims((3, 3, 6))
-                    .reorder(crate::config::Reorder::Rcm)
-            ),
-            Err(SolverError::InvalidInput { .. })
-        ));
-        assert!(matches!(
-            solve_operator(
-                &a,
-                &b,
-                &SolverConfig::new().preconditioner(Precond::AdditiveSchwarz(2))
-            ),
-            Err(SolverError::InvalidInput { .. })
-        ));
-    }
-
-    #[test]
     fn multigrid_rejects_wrong_dims_and_rcm() {
         let a = poisson3d(4, 4, 4);
         let b = vec![1.0; a.n()];
@@ -1892,62 +1390,6 @@ mod tests {
         assert!(!first.stats.spectral.unwrap().reused);
         let second = solve_sparse_with(&mut ws, &a, &b, &cfg).unwrap();
         assert!(second.stats.spectral.unwrap().reused);
-    }
-
-    #[test]
-    fn mixed_precision_reaches_f64_tolerance_on_ill_conditioned_system() {
-        // Diagonal spread of 1e6 on top of the Laplacian coupling:
-        // single precision alone stalls near 1e-7, so hitting 1e-12
-        // proves the f64 refinement loop is doing its job.
-        let n = 400;
-        let a = CsrMatrix::from_row_fn(n, 1, |i, row| {
-            let d = 1.0 + 1.0e6 * (i as f64 / (n - 1) as f64);
-            if i > 0 {
-                row.push((i - 1, -1.0));
-            }
-            row.push((i, d + 2.0));
-            if i + 1 < n {
-                row.push((i + 1, -1.0));
-            }
-        });
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11).cos() * 3.0).collect();
-        let cfg = SolverConfig::new()
-            .preconditioner(Precond::Jacobi)
-            .mixed_precision(true)
-            .tolerance(1e-12);
-        let sol = solve_sparse(&a, &b, &cfg).unwrap();
-        assert!(sol.stats.converged());
-        assert!(sol.stats.final_residual <= 1e-12);
-        // Cross-check against the plain f64 path.
-        let f64_sol = solve_sparse(
-            &a,
-            &b,
-            &SolverConfig::new()
-                .preconditioner(Precond::Jacobi)
-                .tolerance(1e-12),
-        )
-        .unwrap();
-        for (p, q) in sol.x.iter().zip(&f64_sol.x) {
-            assert!((p - q).abs() <= 1e-9 * q.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn mixed_precision_rejects_unsupported_preconditioners() {
-        let a = laplacian(16);
-        let b = vec![1.0; 16];
-        for precond in [Precond::Ssor, Precond::Ic0, Precond::Multigrid] {
-            let cfg = SolverConfig::new()
-                .preconditioner(precond)
-                .mixed_precision(true);
-            assert!(
-                matches!(
-                    solve_sparse(&a, &b, &cfg),
-                    Err(SolverError::InvalidInput { .. })
-                ),
-                "{precond} should be rejected under mixed precision"
-            );
-        }
     }
 
     #[test]

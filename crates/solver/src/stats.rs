@@ -66,20 +66,6 @@ pub enum Precond {
     /// [`Precond::Chebyshev`] automatically. The hierarchy is cached in
     /// the [`PcgWorkspace`](crate::PcgWorkspace).
     Multigrid,
-    /// Additive Schwarz over `k` axis-aligned subdomain slabs
-    /// (`k = 0` picks a slab count from the grid shape automatically).
-    /// Each slab extends one cell plane into its neighbours, carries
-    /// its own IC(0) factor, and solves independently — no level
-    /// scheduling, no barriers — then its full extended-range solution
-    /// is accumulated in fixed slab order (the symmetric Schwarz sum
-    /// `Σᵢ Rᵢᵀ Ãᵢ⁻¹ Rᵢ`, which PCG requires), so the application is
-    /// deterministic at any thread count. Requires explicit sparse storage; slabs
-    /// follow the last grid axis of
-    /// [`SolverConfig::grid_dims`](crate::SolverConfig::grid_dims)
-    /// when declared and degenerate to contiguous index ranges
-    /// otherwise. The factors are cached in the
-    /// [`PcgWorkspace`](crate::PcgWorkspace).
-    AdditiveSchwarz(usize),
 }
 
 impl Precond {
@@ -95,18 +81,15 @@ impl Precond {
             Self::Ic0 => 3,
             Self::Chebyshev(_) => 4,
             Self::Multigrid => 5,
-            Self::AdditiveSchwarz(_) => 6,
         }
     }
 
-    /// The data payload of the data-carrying variants — the polynomial
-    /// step count for [`Precond::Chebyshev`], the subdomain count for
-    /// [`Precond::AdditiveSchwarz`] — and 0 for every other variant (a
-    /// fingerprint companion to [`Precond::code`]).
+    /// The data payload of the data-carrying variant — the polynomial
+    /// step count for [`Precond::Chebyshev`] — and 0 for every other
+    /// variant (a fingerprint companion to [`Precond::code`]).
     pub fn degree(self) -> usize {
         match self {
             Self::Chebyshev(k) => k,
-            Self::AdditiveSchwarz(k) => k,
             _ => 0,
         }
     }
@@ -121,7 +104,6 @@ impl fmt::Display for Precond {
             Self::Ic0 => f.write_str("IC(0)"),
             Self::Chebyshev(k) => write!(f, "Chebyshev({k})"),
             Self::Multigrid => f.write_str("MG"),
-            Self::AdditiveSchwarz(k) => write!(f, "AS-IC(0)×{k}"),
         }
     }
 }
@@ -181,25 +163,6 @@ pub struct SpectralStats {
     pub reused: bool,
 }
 
-/// Setup and application statistics of the domain-decomposition layer
-/// ([`Precond::AdditiveSchwarz`] and the sharded-solve driver): how the
-/// problem was partitioned and what the halo traffic cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DdStats {
-    /// Subdomain slabs in the additive-Schwarz ladder (the *resolved*
-    /// count when the request was auto).
-    pub subdomains: usize,
-    /// Execution shards the solve ran over (1 for the in-process
-    /// preconditioner path; the worker count for sharded drivers).
-    pub shards: usize,
-    /// Overlap cells: cells that live in a neighbouring subdomain's
-    /// extended region and travel on every halo exchange.
-    pub halo_cells: usize,
-    /// Wall-clock seconds spent staging and exchanging halo/overlap
-    /// data across the whole solve.
-    pub exchange_seconds: f64,
-}
-
 /// Statistics of one solve: what ran, how hard it worked and how well
 /// it converged. Returned inside every [`Solution`](crate::Solution)
 /// and cached by the model types behind their `last_solve_stats()`
@@ -212,9 +175,7 @@ pub struct SolverStats {
     pub method: Method,
     /// The preconditioner that actually **ran** — after automatic
     /// resolution, so a [`Precond::Multigrid`] request without grid
-    /// dims reports the Chebyshev fallback here, and an auto
-    /// [`Precond::AdditiveSchwarz`]`(0)` request reports the resolved
-    /// subdomain count.
+    /// dims reports the Chebyshev fallback here.
     pub preconditioner: Precond,
     /// The preconditioner the configuration **asked for**, before any
     /// automatic fallback or resolution. Equal to `preconditioner`
@@ -249,10 +210,6 @@ pub struct SolverStats {
     /// Setup-phase detail for the spectral preconditioners (Chebyshev /
     /// multigrid); `None` otherwise.
     pub spectral: Option<SpectralStats>,
-    /// Partition/halo detail for domain-decomposed solves
-    /// ([`Precond::AdditiveSchwarz`], sharded drivers); `None`
-    /// otherwise.
-    pub dd: Option<DdStats>,
 }
 
 impl SolverStats {
@@ -280,7 +237,6 @@ impl SolverStats {
             iterate_seconds: wall_time.as_secs_f64(),
             factorization: None,
             spectral: None,
-            dd: None,
         }
     }
 

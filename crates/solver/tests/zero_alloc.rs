@@ -203,50 +203,6 @@ fn warm_pcg_solve_performs_no_heap_allocation() {
         "warm multigrid solve allocated {} time(s); the hierarchy-cached path must be allocation-free",
         after - before
     );
-
-    // Additive Schwarz: the tile IC(0) factors are cached in the
-    // workspace; warm applications stage, trisolve and accumulate
-    // entirely inside pre-allocated tile scratch.
-    let as_cfg = SolverConfig::new()
-        .preconditioner(Precond::AdditiveSchwarz(4))
-        .grid_dims((nx, ny, nz))
-        .threads(1)
-        .record_history(false)
-        .context("zero-alloc additive-Schwarz proof");
-    let warm = solve_sparse_into(&mut mg_ws, &pg, &pb, &mut px, &as_cfg).expect("AS warm-up");
-    assert!(warm.converged());
-    assert_eq!(warm.dd.expect("dd stats").subdomains, 4);
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let stats = solve_sparse_into(&mut mg_ws, &pg, &pb, &mut px, &as_cfg).expect("warm AS solve");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert!(stats.converged());
-    assert_eq!(stats.dd.expect("dd stats").subdomains, 4);
-    assert_eq!(
-        after - before,
-        0,
-        "warm additive-Schwarz solve allocated {} time(s); the tile-cached path must be allocation-free",
-        after - before
-    );
-
-    // The sharded driver: halo buffers, extended-range staging and the
-    // per-shard Schwarz output slices are all sized at construction, so
-    // a warm `solve_into` at one thread must not touch the heap.
-    let mut driver = aeropack_solver::ShardedSolve::new(&pg, &as_cfg, 2).expect("sharded driver");
-    let warm = driver.solve_into(&pb, &mut px).expect("sharded warm-up");
-    assert!(warm.converged());
-    assert_eq!(warm.dd.expect("dd stats").shards, 2);
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let stats = driver.solve_into(&pb, &mut px).expect("warm sharded solve");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert!(stats.converged());
-    assert_eq!(
-        after - before,
-        0,
-        "warm sharded solve_into allocated {} time(s); the warm sharded PCG loop must be allocation-free",
-        after - before
-    );
 }
 
 fn poisson3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {

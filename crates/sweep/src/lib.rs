@@ -169,30 +169,6 @@ impl Sweep {
         self.threads.min((n / self.grain()).max(1))
     }
 
-    /// Carves `len` scenarios into `shards` contiguous blocks for
-    /// multi-process sharding: block boundaries are a pure function of
-    /// `(len, shards)` (the first `len % shards` blocks get one extra
-    /// scenario), so every participant — the coordinator and each
-    /// worker process — derives the same assignment independently.
-    /// Empty blocks are omitted, so fewer than `shards` ranges come
-    /// back when `len < shards`.
-    pub fn shard_blocks(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-        let shards = shards.max(1);
-        let base = len / shards;
-        let rem = len % shards;
-        let mut blocks = Vec::with_capacity(shards.min(len));
-        let mut start = 0;
-        for i in 0..shards {
-            let size = base + usize::from(i < rem);
-            if size == 0 {
-                break;
-            }
-            blocks.push(start..start + size);
-            start += size;
-        }
-        blocks
-    }
-
     /// Evaluates `f` over every scenario, in parallel, preserving input
     /// order in the returned vector: `out[i] = f(&scenarios[i])`.
     ///
@@ -535,32 +511,6 @@ impl fmt::Display for SweepStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_blocks_cover_exactly_and_deterministically() {
-        // Even split.
-        assert_eq!(Sweep::shard_blocks(8, 4), vec![0..2, 2..4, 4..6, 6..8]);
-        // Remainder goes to the leading blocks.
-        assert_eq!(Sweep::shard_blocks(10, 3), vec![0..4, 4..7, 7..10]);
-        // Fewer scenarios than shards: empty blocks are omitted.
-        assert_eq!(Sweep::shard_blocks(2, 5), vec![0..1, 1..2]);
-        // shards = 0 clamps to one block; empty input yields none.
-        assert_eq!(Sweep::shard_blocks(7, 0), vec![0..7]);
-        assert!(Sweep::shard_blocks(0, 4).is_empty());
-        // Blocks tile 0..len contiguously for arbitrary sizes.
-        for len in [1usize, 5, 17, 64] {
-            for shards in [1usize, 2, 3, 8, 100] {
-                let blocks = Sweep::shard_blocks(len, shards);
-                let mut expect = 0;
-                for b in &blocks {
-                    assert_eq!(b.start, expect);
-                    assert!(b.end > b.start);
-                    expect = b.end;
-                }
-                assert_eq!(expect, len, "len={len} shards={shards}");
-            }
-        }
-    }
 
     #[test]
     fn map_preserves_order_at_every_thread_count() {

@@ -204,7 +204,6 @@ pub fn solve_rack_flow(
             iterate_seconds: start.elapsed().as_secs_f64(),
             factorization: None,
             spectral: None,
-            dd: None,
         },
     })
 }

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use aeropack_solver::{
-    solve_multi_rhs_with, solve_sparse_into, CsrMatrix, CsrPattern, PcgWorkspace, ShardedSolve,
-    SolverConfig, SolverStats,
+    solve_multi_rhs_with, solve_sparse_into, CsrMatrix, CsrPattern, PcgWorkspace, SolverConfig,
+    SolverStats,
 };
 use aeropack_units::{Celsius, HeatFlux, HeatTransferCoeff, Power, ThermalConductivity};
 
@@ -225,19 +225,6 @@ pub struct FvModel {
     cache_hits: AtomicUsize,
     cache_misses: AtomicUsize,
     workspace: Mutex<PcgWorkspace>,
-    /// Cached stepper for the deprecated [`FvModel::step_transient`]
-    /// shim, keyed on the model fingerprint and step length so repeated
-    /// calls forward through one stepper instead of re-assembling the
-    /// system every step.
-    transient_cache: Mutex<Option<CachedTransient>>,
-}
-
-/// The keyed stepper behind the deprecated per-call transient path.
-#[derive(Debug)]
-struct CachedTransient {
-    model_fingerprint: u64,
-    dt_bits: u64,
-    stepper: TransientStepper,
 }
 
 impl Clone for FvModel {
@@ -258,7 +245,6 @@ impl Clone for FvModel {
             cache_hits: AtomicUsize::new(0),
             cache_misses: AtomicUsize::new(0),
             workspace: Mutex::new(PcgWorkspace::new()),
-            transient_cache: Mutex::new(None),
         }
     }
 }
@@ -281,7 +267,6 @@ impl FvModel {
             cache_hits: AtomicUsize::new(0),
             cache_misses: AtomicUsize::new(0),
             workspace: Mutex::new(PcgWorkspace::new()),
-            transient_cache: Mutex::new(None),
         }
     }
 
@@ -296,8 +281,8 @@ impl FvModel {
         &self.config
     }
 
-    /// Statistics of the most recent steady or (deprecated per-step)
-    /// transient solve on this model, if any.
+    /// Statistics of the most recent steady solve on this model, if
+    /// any.
     pub fn last_solve_stats(&self) -> Option<SolverStats> {
         self.stats.lock().expect("stats lock poisoned").clone()
     }
@@ -759,57 +744,6 @@ impl FvModel {
         Ok(fields)
     }
 
-    /// Solves the steady field through the domain-decomposed
-    /// [`ShardedSolve`] driver: the grid partitions into slab
-    /// subdomains along `nz` (the tile ladder comes from a configured
-    /// [`Precond::AdditiveSchwarz`](aeropack_solver::Precond), auto
-    /// otherwise) grouped into `shards` in-process workers with halo
-    /// exchange between them. The solution is bit-identical at any
-    /// shard count and any thread count — `shards` is purely an
-    /// execution knob. `aeropack_solver::shards_from_env` reads the
-    /// conventional `AEROPACK_SHARDS` override.
-    ///
-    /// # Errors
-    ///
-    /// As [`FvModel::solve_steady`], plus an invalid-input error when
-    /// the solver config requests RCM reordering (incompatible with
-    /// slab partitioning).
-    pub fn solve_steady_sharded(&self, shards: usize) -> Result<FvField, ThermalError> {
-        let _span = aeropack_obs::span!(
-            "thermal.fv.solve_sharded",
-            cells = self.grid.cell_count(),
-            shards = shards
-        );
-        let has_reference = self
-            .bc
-            .iter()
-            .any(|bc| matches!(bc, FaceBc::FixedTemperature(_) | FaceBc::Convection { .. }));
-        if !has_reference {
-            return Err(ThermalError::SingularSystem {
-                context: "finite-volume sharded steady solve",
-            });
-        }
-        let asm = self.assemble_scaled(1.0);
-        if asm.diag.iter().any(|&d| d <= 0.0) {
-            return Err(ThermalError::SingularSystem {
-                context: "finite-volume sharded steady solve",
-            });
-        }
-        let a = self.csr(&asm, None);
-        let cfg = self
-            .config
-            .clone()
-            .context("finite-volume sharded steady solve")
-            .grid_dims(self.grid.shape());
-        let mut driver = ShardedSolve::new(&a, &cfg, shards)?;
-        let sol = driver.solve(&asm.rhs)?;
-        *self.stats.lock().expect("stats lock poisoned") = Some(sol.stats);
-        Ok(FvField {
-            grid: self.grid,
-            temperatures: sol.x,
-        })
-    }
-
     /// Canonical 64-bit content fingerprint of this model: grid shape
     /// and spacing, per-cell conductivities, sources and capacities,
     /// face boundary conditions, and the solver settings that change
@@ -915,70 +849,6 @@ impl FvModel {
             grid: self.grid,
             temperatures,
         })
-    }
-
-    /// Advances a transient solution by one implicit-Euler step of
-    /// length `dt_seconds` from the state `field`.
-    ///
-    /// The first call (for a given model state and step length)
-    /// constructs a [`TransientStepper`] and caches it on the model;
-    /// every later call forwards through that cached stepper exactly
-    /// once, so the system matrix is **not** re-assembled per step and
-    /// the stepper's warm solver workspace is reused. The cache is
-    /// keyed on the model's content [`FvModel::fingerprint`] and the
-    /// step length, so mutating the model (power, BCs, materials) or
-    /// changing `dt_seconds` rebuilds transparently. Results are
-    /// bitwise identical to driving a [`TransientStepper`] directly.
-    ///
-    /// Prefer [`FvModel::transient_stepper`], which skips the per-call
-    /// fingerprint and lock traffic.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a non-positive step, mismatched field, or a
-    /// solver failure.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `transient_stepper`, which caches the assembled matrix across steps"
-    )]
-    pub fn step_transient(
-        &self,
-        field: &FvField,
-        dt_seconds: f64,
-    ) -> Result<FvField, ThermalError> {
-        if dt_seconds <= 0.0 {
-            return Err(ThermalError::invalid("time step must be positive"));
-        }
-        if field.temperatures.len() != self.grid.cell_count() {
-            return Err(ThermalError::invalid("field does not match this grid"));
-        }
-        let model_fingerprint = self.fingerprint();
-        let dt_bits = dt_seconds.to_bits();
-        let mut cached = self
-            .transient_cache
-            .lock()
-            .expect("transient cache lock poisoned");
-        let hit = cached
-            .as_ref()
-            .is_some_and(|c| c.model_fingerprint == model_fingerprint && c.dt_bits == dt_bits);
-        if hit {
-            aeropack_obs::counter!("thermal.fv.transient_cache.hits");
-        } else {
-            aeropack_obs::counter!("thermal.fv.transient_cache.misses");
-            *cached = Some(CachedTransient {
-                model_fingerprint,
-                dt_bits,
-                stepper: self.transient_stepper(field.clone(), dt_seconds)?,
-            });
-        }
-        let stepper = &mut cached.as_mut().expect("cache populated above").stepper;
-        stepper
-            .field
-            .temperatures
-            .copy_from_slice(&field.temperatures);
-        stepper.step()?;
-        *self.stats.lock().expect("stats lock poisoned") = stepper.last_solve_stats();
-        Ok(stepper.field.clone())
     }
 
     /// Creates an implicit-Euler transient stepper starting from
@@ -1528,23 +1398,22 @@ mod tests {
             },
         );
         let steady = model.solve_steady().unwrap();
-        let mut field = model.uniform_field(Celsius::new(20.0));
-        // The deprecated per-step path must keep working (and agreeing
-        // with the cached-stepper path) until it is removed.
-        #[allow(deprecated)]
+        let mut stepper = model
+            .transient_stepper(model.uniform_field(Celsius::new(20.0)), 5.0)
+            .unwrap();
         for _ in 0..400 {
-            field = model.step_transient(&field, 5.0).unwrap();
+            stepper.step().unwrap();
         }
+        let field = stepper.field();
         let dmax = (field.max_temperature().value() - steady.max_temperature().value()).abs();
         assert!(dmax < 0.05, "transient must settle to steady: Δ={dmax}");
     }
 
     #[test]
-    fn deprecated_step_transient_matches_stepper_bitwise() {
-        // Satellite of the mission-transient PR: the deprecated per-call
-        // shim must forward through one cached stepper (assembling the
-        // system exactly once) and reproduce the explicit stepper path
-        // bit for bit, step after step.
+    fn steppers_on_one_model_share_the_pattern_and_agree_bitwise() {
+        // Two steppers built from the same model state assemble the
+        // system once symbolically (the second hits the cached pattern)
+        // and march through identical bits, step after step.
         let grid = FvGrid::new((0.05, 0.05, 0.005), (5, 5, 2)).unwrap();
         let mut model = FvModel::new(grid, &Material::aluminum_6061());
         model
@@ -1558,44 +1427,31 @@ mod tests {
             },
         );
         let dt = 2.5;
-        let mut stepper = model
+        let mut first = model
             .transient_stepper(model.uniform_field(Celsius::new(25.0)), dt)
             .unwrap();
-        let mut field = model.uniform_field(Celsius::new(25.0));
-        let (_, misses_before) = model.pattern_cache_stats();
+        let mut second = model
+            .transient_stepper(model.uniform_field(Celsius::new(25.0)), dt)
+            .unwrap();
+        assert_eq!(
+            model.pattern_cache_stats(),
+            (1, 1),
+            "one symbolic build plus one pattern-hit assembly expected"
+        );
         for step in 0..6 {
-            #[allow(deprecated)]
-            {
-                field = model.step_transient(&field, dt).unwrap();
-            }
-            stepper.step().unwrap();
+            first.step().unwrap();
+            second.step().unwrap();
             assert_eq!(
-                field.temperatures(),
-                stepper.field().temperatures(),
-                "deprecated path diverged from the stepper at step {step}"
+                first.field().temperatures(),
+                second.field().temperatures(),
+                "steppers diverged at step {step}"
             );
         }
-        // One assembly for the explicit stepper, one for the cached shim
-        // on its first call — and none for the five calls after it.
-        let (_, misses_after) = model.pattern_cache_stats();
         assert_eq!(
-            misses_after - misses_before,
-            0,
-            "pattern misses should not grow"
-        );
-        let (hits, misses) = model.pattern_cache_stats();
-        assert_eq!(
-            (hits, misses),
+            model.pattern_cache_stats(),
             (1, 1),
-            "one symbolic build (explicit stepper) plus one pattern-hit \
-             assembly (the shim's first call) expected"
+            "stepping never reassembles"
         );
-        // Changing the step length rebuilds the cached stepper once.
-        #[allow(deprecated)]
-        let via_shim = model.step_transient(&field, dt * 2.0).unwrap();
-        let mut fresh = model.transient_stepper(field.clone(), dt * 2.0).unwrap();
-        fresh.step().unwrap();
-        assert_eq!(via_shim.temperatures(), fresh.field().temperatures());
     }
 
     #[test]

@@ -55,15 +55,3 @@ pub use fv::{
 };
 pub use network::{Network, NodeId, Solution};
 pub use spreading::{spreading_resistance, SpreadingResult};
-
-/// Deprecated backend-error alias. Solver failures never escape this
-/// crate raw — every public API wraps them in [`ThermalError`] (and
-/// wire-level consumers get stable error-code strings through the
-/// unified `aeropack::Error`) — so code matching on this alias is
-/// matching an error this crate does not return.
-#[deprecated(
-    since = "0.2.0",
-    note = "thermal APIs return ThermalError; use aeropack::Error for unified \
-            wire-level error codes"
-)]
-pub type SolverError = aeropack_solver::SolverError;

@@ -33,7 +33,7 @@ AEROPACK_OBS=1 AEROPACK_OBS_REPORT="$SWEEPS_OBS_REPORT" \
 
 echo "==> preconditioner + optimizer obs gate (solver.ic0./mg./cheb./optimize. counters must be non-zero)"
 cargo run -q --release --offline -p aeropack-obs --bin obs_check -- \
-    "$SWEEPS_OBS_REPORT" solver.ic0. solver.mg. solver.cheb. solver.pcg. solver.dd. \
+    "$SWEEPS_OBS_REPORT" solver.ic0. solver.mg. solver.cheb. solver.pcg. \
     sweep. mission. solver.transient. optimize.
 
 echo "==> obs smoke (exp02 with observability on, run report must validate)"
@@ -64,18 +64,6 @@ cargo run -q --release --offline -p aeropack-obs --bin obs_check -- \
 
 echo "==> serve bench smoke (120-request load, cache >=5x + coalesce bit-identity gates)"
 cargo bench -q --offline -p aeropack-bench --bench serve -- --smoke
-
-echo "==> shard smoke (two-process 20^3 sharded solve, bit-identity + solver.dd./serve.shard. gates)"
-# Spawns one worker process hosting a daemon, upgrades the connection
-# to the shard frame protocol, and solves with one shard per process;
-# the binary exits non-zero unless the result is bit-identical to the
-# single-process solve.
-SHARD_REPORT=target/obs_shard_smoke.json
-AEROPACK_OBS=1 AEROPACK_OBS_REPORT="$SHARD_REPORT" \
-    cargo run -q --release --offline -p aeropack-serve --bin shard_smoke \
-    > /dev/null
-cargo run -q --release --offline -p aeropack-obs --bin obs_check -- \
-    "$SHARD_REPORT" solver.dd. serve.shard.
 
 echo "==> golden snapshot gate (tests/golden/, drift prints a per-quantity table)"
 # Out-of-tolerance drift fails with golden/current/|drift|/allowed rows;

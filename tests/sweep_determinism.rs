@@ -309,57 +309,6 @@ fn fv_power_sweep_with_multigrid_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn fv_sharded_steady_solve_is_bit_identical_across_shard_and_thread_counts() {
-    // The domain-decomposed steady solve: the subdomain ladder is the
-    // mathematical knob, but the shard count is a pure execution knob
-    // and the solver thread count only moves tile trisolves between
-    // scoped threads — the accumulation order is fixed. The field must
-    // therefore be bit-identical at every (shards, threads)
-    // combination, including the single-shard serial reference.
-    // 16 planes along z: AS(8) then resolves to eight two-plane tiles,
-    // so shard counts 1/2/4/8 all align to whole-tile boundaries.
-    let grid = FvGrid::new((0.12, 0.10, 0.08), (12, 10, 16)).expect("grid");
-    let mut model = FvModel::new(grid, &Material::aluminum_6061());
-    model
-        .add_power_box(Power::new(22.0), (3, 3, 4), (9, 8, 12))
-        .expect("source");
-    model.set_face_bc(
-        Face::ZMax,
-        FaceBc::Convection {
-            h: HeatTransferCoeff::new(40.0),
-            ambient: Celsius::new(30.0),
-        },
-    );
-
-    let field_bits = |shards: usize, threads: usize| -> Vec<u64> {
-        let mut m = model.clone();
-        m.set_solver_config(
-            SolverConfig::new()
-                .preconditioner(Precond::AdditiveSchwarz(8))
-                .threads(threads),
-        );
-        let field = m.solve_steady_sharded(shards).expect("sharded solve");
-        let stats = m.last_solve_stats().expect("stats");
-        assert!(stats.converged());
-        let dd = stats.dd.expect("dd stats");
-        assert_eq!(dd.subdomains, 8, "AS(8) fixes the tile ladder");
-        assert_eq!(dd.shards, shards);
-        field.temperatures().iter().map(|t| t.to_bits()).collect()
-    };
-
-    let reference = field_bits(1, 1);
-    for shards in [1, 2, 4, 8] {
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                field_bits(shards, threads),
-                reference,
-                "sharded solve diverged at {shards} shards, {threads} threads"
-            );
-        }
-    }
-}
-
-#[test]
 fn sweeps_stay_bit_identical_with_observability_enabled() {
     // Observability must be a pure observer: enabling it (scoped
     // registry, events flowing from every worker) must not perturb a
