@@ -5,7 +5,11 @@
 //! orbit-cycle mission gates (≥ 10⁴ adaptive steps with factor reuse;
 //! adaptive ≥ 3× fewer steps than fixed dt at equal final-field
 //! error) and the NSGA-II optimizer gate (≥ 10⁶ scenario evaluations
-//! with a bit-identical Pareto front at 1/2/8 threads).
+//! with a bit-identical Pareto front at 1/2/8 threads), and the
+//! mission preconditioner crossover table (`mission_precond`: the orbit
+//! plate flown with IC(0) and with multigrid at 8³–64³ and two plate
+//! shapes, wall per step and setup/reuse counts, gated on field
+//! agreement and 1-vs-2-thread trajectory identity).
 //! Emits `BENCH_sweeps.json` at the repository root with
 //! walls, speedups, rolled-up solver statistics and the pattern-cache
 //! hit counts, plus the observability run report
@@ -622,6 +626,143 @@ fn bench_mission_orbit(smoke: bool) -> MissionOrbitReport {
     }
 }
 
+/// One row of the mission preconditioner crossover table: the orbit
+/// plate at one grid shape, flown under one explicit preconditioner.
+struct MissionPrecondRow {
+    shape: (usize, usize, usize),
+    precond: &'static str,
+    steps: usize,
+    solves: usize,
+    /// Mean wall per accepted step at 1 solver thread.
+    wall_per_step: Duration,
+    /// Solves that set the preconditioner up (multigrid hierarchy
+    /// rebuilds / IC(0) factorisations).
+    setups: usize,
+    /// Solves that reused the cached factor or hierarchy.
+    reuses: usize,
+    iterations_per_solve: f64,
+    /// `max |T_ic0 − T_mg|` at the end of this shape's flights, K.
+    field_diff_k: f64,
+    /// Trajectory fingerprint identical at 1 and 2 solver threads.
+    deterministic: bool,
+}
+
+/// Accepted-step budget per flight: whole-orbit flights on small grids,
+/// a fixed amount of cell-steps on large ones (a 64³ plate takes ~10⁵
+/// adaptive steps per orbit), never fewer than 10 steps.
+const PRECOND_CELL_STEPS: usize = 2_500_000;
+
+/// Flies the LEO orbit plate of the `orbit_mission` benchmark
+/// (0.15 × 0.15 × 0.012 m aluminium, 25 W box, radiating `ZMax` face)
+/// at `shape` under `precond` for up to `max_steps` accepted steps.
+/// Returns the final field, the mission counters, the wall and the
+/// trajectory fingerprint.
+fn fly_orbit_plate(
+    shape: (usize, usize, usize),
+    precond: Precond,
+    threads: usize,
+    max_steps: usize,
+) -> (Vec<f64>, aeropack_mission::MissionStats, Duration, u64) {
+    let (nx, ny, nz) = shape;
+    let grid = FvGrid::new((0.15, 0.15, 0.012), shape).expect("grid");
+    let mut model = FvModel::new(grid, &Material::aluminum_6061());
+    model
+        .add_power_box(
+            Power::new(25.0),
+            (nx / 4, ny / 4, 0),
+            (nx / 4 + nx / 2, ny / 4 + ny / 2, (nz / 4).max(1)),
+        )
+        .expect("source");
+    model.set_solver_config(SolverConfig::new().preconditioner(precond).threads(threads));
+    let profile = MissionProfile::orbit_cycle(&Orbit::leo_90min(), 1).expect("orbit profile");
+    let config = MissionConfig::new(Scheme::Trapezoidal)
+        .control(StepControl::Adaptive(AdaptiveConfig::default()))
+        .radiating_face(RadiatingFace {
+            face: Face::ZMax,
+            emissivity: 0.85,
+            absorptivity: 0.3,
+        });
+    let mut driver =
+        MissionDriver::new(model, profile, config, Celsius::new(20.0)).expect("orbit driver");
+    let start = Instant::now();
+    for _ in 0..max_steps {
+        if driver.finished() {
+            break;
+        }
+        driver.step().expect("orbit step");
+    }
+    let wall = start.elapsed();
+    (
+        driver.temperatures().to_vec(),
+        *driver.stats(),
+        wall,
+        driver.trajectory_fingerprint(),
+    )
+}
+
+/// The crossover table behind the mission driver's preconditioner
+/// rule: the orbit plate flown with IC(0) and with multigrid at 8³ to
+/// 64³ and at the 20×20×4 and 64×64×8 plate shapes (smoke: 8³ and
+/// 20×20×4). Each flight is timed at 1 solver thread and re-flown at 2;
+/// the gates are correctness only — the two preconditioners must end
+/// within 1e-8 K of each other, and every trajectory must be
+/// bit-identical at 1 and 2 threads. Walls are recorded, not gated.
+fn bench_mission_precond(smoke: bool) -> Vec<MissionPrecondRow> {
+    let shapes: &[(usize, usize, usize)] = if smoke {
+        &[(8, 8, 8), (20, 20, 4)]
+    } else {
+        &[
+            (8, 8, 8),
+            (16, 16, 16),
+            (32, 32, 32),
+            (64, 64, 64),
+            (20, 20, 4),
+            (64, 64, 8),
+        ]
+    };
+    let mut rows: Vec<MissionPrecondRow> = Vec::new();
+    for &shape in shapes {
+        let cells = shape.0 * shape.1 * shape.2;
+        let max_steps = (PRECOND_CELL_STEPS / cells).clamp(10, 250);
+        let mut fields: Vec<Vec<f64>> = Vec::new();
+        for (name, precond) in [("ic0", Precond::Ic0), ("mg", Precond::Multigrid)] {
+            let (field, stats, wall, fingerprint) = fly_orbit_plate(shape, precond, 1, max_steps);
+            let (_, _, _, fingerprint_2) = fly_orbit_plate(shape, precond, 2, max_steps);
+            rows.push(MissionPrecondRow {
+                shape,
+                precond: name,
+                steps: stats.accepted,
+                solves: stats.solves,
+                wall_per_step: wall / stats.accepted.max(1) as u32,
+                setups: stats.solves - stats.factor_reuses,
+                reuses: stats.factor_reuses,
+                iterations_per_solve: stats.solver_iterations as f64 / stats.solves.max(1) as f64,
+                field_diff_k: 0.0,
+                deterministic: fingerprint == fingerprint_2,
+            });
+            fields.push(field);
+        }
+        let diff = max_abs_diff(&fields[0], &fields[1]);
+        for r in rows.iter_mut().rev().take(2) {
+            r.field_diff_k = diff;
+        }
+    }
+    for r in &rows {
+        let (nx, ny, nz) = r.shape;
+        assert!(
+            r.deterministic,
+            "mission {nx}x{ny}x{nz} {}: trajectory differs between 1 and 2 solver threads",
+            r.precond
+        );
+        assert!(
+            r.field_diff_k <= 1e-8,
+            "mission {nx}x{ny}x{nz}: IC(0) and multigrid final fields differ by {:.3e} K",
+            r.field_diff_k
+        );
+    }
+    rows
+}
+
 /// The NSGA-II optimizer gate: the paper's packaging trade as a
 /// million-evaluation search, bit-identical at 1/2/8 threads.
 struct OptimizeReport {
@@ -915,6 +1056,7 @@ fn emit_json(
     records: &[SweepRecord],
     fv_large: &FvLargeReport,
     mission_orbit: &MissionOrbitReport,
+    mission_precond: &[MissionPrecondRow],
     optimize: &OptimizeReport,
     hardware_threads: usize,
     smoke: bool,
@@ -1066,6 +1208,38 @@ fn emit_json(
         mission_orbit.fixed_error_k
     ));
     out.push_str("  },\n");
+    out.push_str("  \"mission_precond\": {\n");
+    out.push_str(&format!("    \"hardware_threads\": {hardware_threads},\n"));
+    out.push_str("    \"solver_threads\": 1,\n");
+    out.push_str("    \"rows\": [\n");
+    for (i, r) in mission_precond.iter().enumerate() {
+        out.push_str(&format!(
+            "      {{\"shape\": \"{}x{}x{}\", \"cells\": {}, \"precond\": \"{}\", \
+             \"steps\": {}, \"solves\": {}, \"wall_per_step_ms\": {:.4}, \
+             \"setups\": {}, \"reuses\": {}, \"iterations_per_solve\": {:.2}, \
+             \"max_field_diff_k\": {:.3e}, \"deterministic\": {}}}{}\n",
+            r.shape.0,
+            r.shape.1,
+            r.shape.2,
+            r.shape.0 * r.shape.1 * r.shape.2,
+            r.precond,
+            r.steps,
+            r.solves,
+            r.wall_per_step.as_secs_f64() * 1e3,
+            r.setups,
+            r.reuses,
+            r.iterations_per_solve,
+            r.field_diff_k,
+            r.deterministic,
+            if i + 1 == mission_precond.len() {
+                ""
+            } else {
+                ","
+            }
+        ));
+    }
+    out.push_str("    ]\n");
+    out.push_str("  },\n");
     out.push_str("  \"bench_optimize\": {\n");
     out.push_str(&format!("    \"population\": {},\n", optimize.population));
     out.push_str(&format!("    \"generations\": {},\n", optimize.generations));
@@ -1114,6 +1288,7 @@ fn main() {
     ];
     let fv_large = bench_fv_large(smoke, hardware_threads);
     let mission_orbit = bench_mission_orbit(smoke);
+    let mission_precond = bench_mission_precond(smoke);
     let optimize = bench_optimize(smoke);
 
     for r in &records {
@@ -1210,6 +1385,27 @@ fn main() {
 
     {
         println!(
+            "\nmission_precond — orbit plate, IC(0) vs multigrid, 1 solver thread \
+             (hardware threads: {hardware_threads})"
+        );
+        for r in &mission_precond {
+            println!(
+                "  {:<8} {:<3} {:>4} steps, {:>9.3} ms/step, {:>4} setups, \
+                 {:>4} reuses, {:>5.1} iterations/solve, |T_ic0 − T_mg| {:.1e} K",
+                format!("{}x{}x{}", r.shape.0, r.shape.1, r.shape.2),
+                r.precond,
+                r.steps,
+                r.wall_per_step.as_secs_f64() * 1e3,
+                r.setups,
+                r.reuses,
+                r.iterations_per_solve,
+                r.field_diff_k
+            );
+        }
+    }
+
+    {
+        println!(
             "\nbench_optimize — NSGA-II, population {} × {} generations, \
              {} evaluations",
             optimize.population, optimize.generations, optimize.evaluations
@@ -1282,6 +1478,7 @@ fn main() {
         &records,
         &fv_large,
         &mission_orbit,
+        &mission_precond,
         &optimize,
         hardware_threads,
         smoke,

@@ -21,8 +21,10 @@
 //! * **An adaptive transient driver** ([`transient`], [`checkpoint`]):
 //!   θ-scheme implicit stepping (backward Euler or trapezoidal) with
 //!   embedded-error step control over 10⁴–10⁶ steps, warm-started PCG
-//!   solves that reuse the cached Multigrid/IC(0) factors whenever the
-//!   system matrix is unchanged, and bit-exact checkpointed
+//!   solves preconditioned by IC(0) by default (refactored in place
+//!   when the system matrix values change, reused outright while they
+//!   do not; an explicitly configured preconditioner such as multigrid
+//!   is kept), and bit-exact checkpointed
 //!   trajectories in a compact binary/JSON snapshot format.
 //!
 //! Mission sweeps run deterministically in parallel through

@@ -34,7 +34,7 @@
 
 use aeropack_obs::counter;
 use aeropack_solver::{
-    solve_sparse_into, CsrMatrix, Fingerprint, PcgWorkspace, SolverConfig, SolverStats,
+    solve_sparse_into, CsrMatrix, Fingerprint, PcgWorkspace, Precond, SolverConfig, SolverStats,
 };
 use aeropack_thermal::{radiation_coefficient, Face, FaceBc, FvField, FvModel};
 use aeropack_units::{Celsius, HeatTransferCoeff};
@@ -42,6 +42,10 @@ use aeropack_units::{Celsius, HeatTransferCoeff};
 use crate::checkpoint::Checkpoint;
 use crate::profile::{BoundaryState, MissionProfile};
 use crate::MissionError;
+
+/// The preconditioner a mission upgrades the stock Jacobi config to
+/// (see `MissionDriver::init` for the measured rule).
+const MISSION_PRECOND: Precond = Precond::Ic0;
 
 /// The implicit time-integration scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +293,12 @@ pub struct MissionStats {
     pub solver_iterations: usize,
     /// θ-system numeric rebuilds (operator values or `dt` changed).
     pub matrix_rebuilds: usize,
-    /// Steps that reused the θ-system bit-unchanged.
+    /// Boundary-condition applications that left the assembled
+    /// conduction operator `A` bit-unchanged (the sampled boundary
+    /// state repeated, or it moved only the right-hand side). Counted
+    /// per application, not per step, and independent of `dt`: a step
+    /// whose `dt` changed still rebuilds the θ-system (see
+    /// `matrix_rebuilds`) even when `A` was reused.
     pub matrix_reuses: usize,
     /// Solves whose preconditioner factors / multigrid hierarchy were
     /// reused from the workspace snapshot — the warm-solve evidence.
@@ -395,6 +404,7 @@ pub struct MissionDriver {
 
     source_hook: Option<SourceHook>,
     stats: MissionStats,
+    last_solve: Option<SolverStats>,
     dt_history: Vec<f64>,
 }
 
@@ -552,13 +562,18 @@ impl MissionDriver {
             .context("mission transient")
             .grid_dims(model.grid().shape())
             .record_history(false);
-        // Driver policy: the stock Jacobi preconditioner has no setup
-        // to amortise, but a mission is exactly the repeated-solve
-        // shape the factor caches serve — upgrade to geometric
-        // multigrid (the grid shape is always declared here) unless
-        // the model was explicitly configured otherwise.
-        if solver_config.get_preconditioner() == aeropack_solver::Precond::Jacobi {
-            solver_config = solver_config.preconditioner(aeropack_solver::Precond::Multigrid);
+        // Driver policy: a mission is a long run of repeated solves
+        // whose θ-matrix values change every few steps (dt ladder,
+        // relinearisation), so setup cost on a value change decides
+        // the wall. IC(0) refactors in place on its cached pattern;
+        // multigrid rebuilds its whole hierarchy. The `mission_precond`
+        // crossover table in BENCH_sweeps.json (DESIGN.md §12) has
+        // IC(0) ahead on every measured grid, 8³ to 64³ and the thin
+        // orbit plates, so the stock Jacobi config is upgraded to
+        // `MISSION_PRECOND` at any size. An explicitly configured
+        // preconditioner is kept.
+        if solver_config.get_preconditioner() == Precond::Jacobi {
+            solver_config = solver_config.preconditioner(MISSION_PRECOND);
         }
 
         let mut driver = Self {
@@ -590,6 +605,7 @@ impl MissionDriver {
             solver_config,
             source_hook: None,
             stats: MissionStats::default(),
+            last_solve: None,
             dt_history: Vec::new(),
         };
         driver.apply_bcs(&state0);
@@ -619,6 +635,14 @@ impl MissionDriver {
     /// Accumulated counters.
     pub fn stats(&self) -> &MissionStats {
         &self.stats
+    }
+
+    /// Statistics of the most recent linear solve (accepted or
+    /// rejected attempt): the effective preconditioner, its iteration
+    /// count and whether the cached factor or hierarchy was reused.
+    /// `None` before the first step.
+    pub fn last_solve_stats(&self) -> Option<&SolverStats> {
+        self.last_solve.as_ref()
     }
 
     /// The underlying model (sources zeroed; boundary conditions track
@@ -746,7 +770,7 @@ impl MissionDriver {
                 &self.solver_config,
             )
             .map_err(MissionError::from)?;
-            self.record_solve(&stats);
+            self.record_solve(stats);
 
             let (accepted, err, at_floor) = self.judge(dt_att);
             if accepted {
@@ -977,7 +1001,7 @@ impl MissionDriver {
         }
     }
 
-    fn record_solve(&mut self, stats: &SolverStats) {
+    fn record_solve(&mut self, stats: SolverStats) {
         self.stats.solves += 1;
         self.stats.solver_iterations += stats.iterations;
         let factor_reused = stats.factorization.as_ref().is_some_and(|f| f.reused)
@@ -988,6 +1012,7 @@ impl MissionDriver {
         counter!("solver.transient.solves");
         counter!("solver.transient.steps");
         counter!("solver.transient.iterations", stats.iterations);
+        self.last_solve = Some(stats);
     }
 }
 
@@ -1093,6 +1118,60 @@ mod tests {
         assert_eq!(driver.stats().rejected, 0);
         // Dissipation heats the plate above ambient.
         assert!(driver.field().unwrap().max_temperature() > Celsius::new(20.0));
+    }
+
+    /// Flies three adaptive steps of the plate under `solver` (the
+    /// model's own config) and returns the last solve's stats.
+    fn last_stats_after_steps(solver: Option<SolverConfig>) -> SolverStats {
+        let mut model = plate_model();
+        if let Some(cfg) = solver {
+            model.set_solver_config(cfg);
+        }
+        let config = MissionConfig::new(Scheme::Trapezoidal)
+            .control(StepControl::Adaptive(AdaptiveConfig::default()))
+            .convective_face(Face::ZMax);
+        let mut driver = MissionDriver::new(
+            model,
+            constant_profile(600.0, 25.0, 20.0),
+            config,
+            Celsius::new(40.0),
+        )
+        .unwrap();
+        assert!(driver.last_solve_stats().is_none());
+        for _ in 0..3 {
+            driver.step().unwrap();
+        }
+        let stats = driver.last_solve_stats().unwrap().clone();
+        assert!(stats.converged());
+        assert!(stats.iterations > 0);
+        stats
+    }
+
+    #[test]
+    fn default_config_reports_the_policy_preconditioner() {
+        let stats = last_stats_after_steps(None);
+        assert_eq!(stats.requested_preconditioner, MISSION_PRECOND);
+        assert_eq!(stats.preconditioner, MISSION_PRECOND);
+        assert!(stats.factorization.is_some());
+        assert!(stats.spectral.is_none());
+    }
+
+    #[test]
+    fn explicit_multigrid_config_keeps_multigrid() {
+        let stats =
+            last_stats_after_steps(Some(SolverConfig::new().preconditioner(Precond::Multigrid)));
+        assert_eq!(stats.preconditioner, Precond::Multigrid);
+        assert!(stats.spectral.is_some());
+        assert!(stats.factorization.is_none());
+    }
+
+    #[test]
+    fn explicit_chebyshev_config_keeps_chebyshev() {
+        let stats = last_stats_after_steps(Some(
+            SolverConfig::new().preconditioner(Precond::Chebyshev(3)),
+        ));
+        assert_eq!(stats.preconditioner, Precond::Chebyshev(3));
+        assert_eq!(stats.spectral.map(|s| s.degree), Some(3));
     }
 
     #[test]

@@ -259,7 +259,9 @@ fn jacobi_smooth_transfer(
 
 /// Assembles the Galerkin coarse operator `A_c = Pᵀ·A·P` serially with
 /// a fixed accumulation order (sparse accumulator + ascending-column
-/// emission), so the product is deterministic.
+/// emission), so the product is deterministic. A per-column marker
+/// holds the last row that touched each coarse column, so collecting a
+/// row's columns costs one check per product term.
 fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
     let n = a.n();
     let nc = p.ncols;
@@ -269,6 +271,7 @@ fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
     let mut ap_vals = Vec::new();
     ap_row_ptr.push(0);
     let mut acc = vec![0.0f64; nc];
+    let mut marker = vec![usize::MAX; nc];
     let mut touched: Vec<usize> = Vec::with_capacity(64);
     for i in 0..n {
         for idx in a.row_offsets()[i]..a.row_offsets()[i + 1] {
@@ -276,7 +279,8 @@ fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
             let aij = a.values()[idx];
             for pidx in p.row_ptr[j]..p.row_ptr[j + 1] {
                 let cj = p.cols[pidx];
-                if acc[cj] == 0.0 && !touched.contains(&cj) {
+                if marker[cj] != i {
+                    marker[cj] = i;
                     touched.push(cj);
                 }
                 acc[cj] += aij * p.vals[pidx];
@@ -297,13 +301,15 @@ fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
     let mut c_vals = Vec::new();
     c_row_ptr.push(0);
     let mut cacc = vec![0.0f64; nc];
+    marker.fill(usize::MAX);
     for cr in 0..nc {
         for tidx in p.t_row_ptr[cr]..p.t_row_ptr[cr + 1] {
             let i = p.t_cols[tidx];
             let w = p.t_vals[tidx];
             for apidx in ap_row_ptr[i]..ap_row_ptr[i + 1] {
                 let cj = ap_cols[apidx];
-                if cacc[cj] == 0.0 && !touched.contains(&cj) {
+                if marker[cj] != cr {
+                    marker[cj] = cr;
                     touched.push(cj);
                 }
                 cacc[cj] += w * ap_vals[apidx];
@@ -643,6 +649,60 @@ mod tests {
             for (p, q) in reference.iter().zip(&z) {
                 assert_eq!(p.to_bits(), q.to_bits(), "threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn galerkin_product_is_symmetric_and_matches_dense_ptap() {
+        let dims = (7, 5, 3);
+        let cdims = (4, 3, 2);
+        let a = poisson3d(dims.0, dims.1, dims.2);
+        let (n, nc) = (a.n(), cdims.0 * cdims.1 * cdims.2);
+        let agg = aggregate_ids(dims, cdims);
+        let p = smoothed_prolongation(&a, &agg, nc, 4.0 / (3.0 * 2.0));
+        let ac = galerkin_product(&a, &p);
+        assert_eq!(ac.n(), nc);
+        // Dense P (n × nc) and the reference Pᵀ·A·P.
+        let mut pd = vec![0.0f64; n * nc];
+        for i in 0..n {
+            for idx in p.row_ptr[i]..p.row_ptr[i + 1] {
+                pd[i * nc + p.cols[idx]] = p.vals[idx];
+            }
+        }
+        let mut ap = vec![0.0f64; n * nc];
+        for i in 0..n {
+            for j in 0..n {
+                let aij = a.get(i, j);
+                if aij != 0.0 {
+                    for c in 0..nc {
+                        ap[i * nc + c] += aij * pd[j * nc + c];
+                    }
+                }
+            }
+        }
+        let mut dense = vec![0.0f64; nc * nc];
+        for r in 0..nc {
+            for c in 0..nc {
+                dense[r * nc + c] = (0..n).map(|i| pd[i * nc + r] * ap[i * nc + c]).sum();
+            }
+        }
+        let scale = dense.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for r in 0..nc {
+            for c in 0..nc {
+                let got = ac.get(r, c);
+                assert!(
+                    (got - dense[r * nc + c]).abs() <= 1e-12 * scale,
+                    "A_c[{r},{c}] = {got} vs dense {}",
+                    dense[r * nc + c]
+                );
+                assert!(
+                    (got - ac.get(c, r)).abs() <= 1e-12 * scale,
+                    "A_c not symmetric at ({r},{c})"
+                );
+            }
+            // Ascending-column emission.
+            let cols = &ac.col_indices()[ac.row_offsets()[r]..ac.row_offsets()[r + 1]];
+            assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
         }
     }
 

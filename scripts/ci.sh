@@ -24,7 +24,11 @@ echo "==> sweep bench smoke (tiny grids, 2 threads, determinism + preconditioner
 # The smoke fv_large comparison also runs the 20³ multigrid and
 # Chebyshev solves, so the emitted report can be gated on the solver.mg.
 # and solver.cheb. counters below; the optimizer smoke emits the
-# optimize.* counters gated alongside them.
+# optimize.* counters gated alongside them. The mission_precond smoke
+# flies the 8³ and 20×20×4 orbit plates under IC(0) and multigrid and
+# exits non-zero if the two final fields differ by more than 1e-8 K or
+# if any trajectory differs between 1 and 2 solver threads (walls are
+# reported, not gated).
 # Absolute path: `cargo bench` runs the harness from the package dir,
 # not the workspace root, so a relative report path would miss target/.
 SWEEPS_OBS_REPORT="$PWD/target/obs_sweeps_smoke.json"

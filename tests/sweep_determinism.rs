@@ -418,6 +418,49 @@ fn mission_sweeps_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn mission_ic0_trajectory_is_bit_identical_across_solver_threads() {
+    // A default-config orbit mission runs on the driver's IC(0)
+    // upgrade. At 64×64×4 = 16 384 cells the plate reaches the IC(0)
+    // parallel grain, so the level-scheduled triangular solves really
+    // run threaded: ~20 adaptive steps must give the same trajectory
+    // fingerprint at 1, 2 and 8 solver threads.
+    let grid = FvGrid::new((0.15, 0.15, 0.012), (64, 64, 4)).expect("grid");
+    let mut base = FvModel::new(grid, &Material::aluminum_6061());
+    base.add_power_box(Power::new(25.0), (16, 16, 0), (48, 48, 1))
+        .expect("source");
+    let profile = MissionProfile::orbit_cycle(&Orbit::leo_90min(), 1).expect("profile");
+    let config = MissionConfig::new(Scheme::Trapezoidal)
+        .control(StepControl::Adaptive(AdaptiveConfig::default()))
+        .radiating_face(RadiatingFace {
+            face: Face::ZMax,
+            emissivity: 0.85,
+            absorptivity: 0.3,
+        });
+    let fly = |threads: usize| {
+        let mut model = base.clone();
+        model.set_solver_config(SolverConfig::new().threads(threads));
+        let mut driver =
+            MissionDriver::new(model, profile.clone(), config.clone(), Celsius::new(20.0))
+                .expect("driver");
+        for _ in 0..20 {
+            driver.step().expect("step");
+        }
+        let stats = driver.last_solve_stats().expect("solve stats");
+        assert_eq!(stats.preconditioner, Precond::Ic0);
+        assert_eq!(stats.threads, threads);
+        driver.trajectory_fingerprint()
+    };
+    let reference = fly(1);
+    for threads in [2, 8] {
+        assert_eq!(
+            reference,
+            fly(threads),
+            "IC(0) mission trajectory diverged at {threads} solver threads"
+        );
+    }
+}
+
+#[test]
 fn mission_checkpoint_restore_is_bit_identical() {
     // An orbit mission with a radiating face: the checkpoint carries
     // the lagged radiation linearisation, both snapshot codecs must
