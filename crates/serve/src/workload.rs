@@ -558,6 +558,14 @@ fn run_optimize(spec: &OptimizeSpec) -> Result<AnalysisResponse, Error> {
     if !(spec.base_power_w > 0.0 && spec.base_power_w.is_finite()) {
         return Err(Error::invalid("optimize base_power_w must be positive"));
     }
+    // NaN objectives would break the optimizer's non-dominated sort,
+    // whose lexicographic order disagrees with `dominates` on NaN.
+    if !spec.ambient_c.is_finite() {
+        return Err(Error::invalid("optimize ambient_c must be finite"));
+    }
+    if !spec.tilt_deg.is_finite() {
+        return Err(Error::invalid("optimize tilt_deg must be finite"));
+    }
     let budget = spec.population as u64 * (spec.generations as u64 + 1);
     if budget > OPTIMIZE_MAX_EVALUATIONS {
         return Err(Error::invalid(format!(

@@ -12,7 +12,7 @@ use aeropack_serve::wire::{
 use aeropack_serve::{
     serve, AnalysisRequest, AnalysisResponse, BoardSpec, CoolingModeSpec, Error, FemPlateSpec,
     MaterialKind, MissionSpec, OptimizeSpec, PlateSpec, Priority, SchemeKind, SeatKind, SebSpec,
-    ServeConfig, Service, SocketClient, TransientSpec,
+    ServeConfig, Service, SocketClient, TransientSpec, Workload, Workspace,
 };
 
 fn seb_spec() -> SebSpec {
@@ -469,6 +469,82 @@ fn zero_deadline_round_trips_a_stable_invalid_code() {
         .expect("nonzero deadline");
     assert!(matches!(answer, AnalysisResponse::OperatingPoint { .. }));
 
+    daemon.shutdown();
+    service.shutdown();
+}
+
+fn optimize_spec(ambient_c: f64, tilt_deg: f64) -> OptimizeSpec {
+    OptimizeSpec {
+        seed: 7,
+        population: 8,
+        generations: 1,
+        tilt_deg,
+        ambient_c,
+        base_power_w: 120.0,
+    }
+}
+
+#[test]
+fn non_finite_optimize_inputs_are_invalid_requests() {
+    let service = Arc::new(Service::start(ServeConfig::new().workers(1)));
+    let mut workspace = Workspace::new();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for (field, spec) in [
+            ("ambient_c", optimize_spec(bad, 22.0)),
+            ("tilt_deg", optimize_spec(25.0, bad)),
+        ] {
+            let request = AnalysisRequest::Optimize { spec };
+            let err = request
+                .run(&mut workspace)
+                .expect_err("a non-finite input must not reach the optimizer");
+            assert_eq!(err.code(), "invalid", "{field} = {bad}: {err}");
+            assert!(err.to_string().contains(field), "{field} = {bad}: {err}");
+            // The queued path answers alike; NaN never gets that far,
+            // as it cannot form a cache key.
+            if !bad.is_nan() {
+                let err = service.submit(request).wait().expect_err("queued");
+                assert_eq!(err.code(), "invalid", "{field} = {bad}: {err}");
+            }
+        }
+    }
+
+    // JSON has no non-finite numbers: such a line is a wire error, and
+    // the connection goes on to answer a finite request.
+    let mut daemon = serve(Arc::clone(&service), "127.0.0.1:0").expect("daemon");
+    let (mut stream, mut reader) = raw_connect(daemon.addr());
+    for line in [
+        encode_request_line(&WireRequest {
+            id: 1,
+            priority: Priority::Normal,
+            deadline_ms: None,
+            request: AnalysisRequest::Optimize {
+                spec: optimize_spec(f64::INFINITY, 22.0),
+            },
+        }),
+        encode_request_line(&WireRequest {
+            id: 2,
+            priority: Priority::Normal,
+            deadline_ms: None,
+            request: AnalysisRequest::Optimize {
+                spec: optimize_spec(25.0, 22.0),
+            },
+        }),
+    ] {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
+    }
+    wire_error(read_response(&mut reader).expect("a response to the ∞ line"));
+    let answer = read_response(&mut reader).expect("the connection stays open");
+    assert_eq!(answer.id, 2);
+    assert!(matches!(
+        answer.result,
+        Ok(AnalysisResponse::Pareto {
+            evaluations: 16,
+            ..
+        })
+    ));
+    drop(stream);
     daemon.shutdown();
     service.shutdown();
 }

@@ -414,7 +414,9 @@ fn optimizer_is_bitwise_reproducible_from_seed() {
         |&(seed, (tilt, ambient), power)| {
             let serial = small_run(seed, tilt, ambient, power, &Sweep::serial());
             let again = small_run(seed, tilt, ambient, power, &Sweep::serial());
-            let threaded = small_run(seed, tilt, ambient, power, &Sweep::new(3));
+            // `with_grain(1)` overrides the optimizer's evaluation grain
+            // hint, so the three workers really run.
+            let threaded = small_run(seed, tilt, ambient, power, &Sweep::new(3).with_grain(1));
             ensure!(
                 serial.front.fingerprint() == again.front.fingerprint(),
                 "same seed, same sweep: fingerprints diverge"
