@@ -916,7 +916,6 @@ fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
     let mut jacobi_field: Vec<f64> = Vec::new();
     for (name, precond) in [
         ("jacobi", Precond::Jacobi),
-        ("ssor", Precond::Ssor),
         ("ic0", Precond::Ic0),
         ("chebyshev", Precond::Chebyshev(4)),
         ("mg", Precond::Multigrid),
@@ -988,7 +987,7 @@ fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
         ic0.iterations,
         jacobi.iterations
     );
-    assert!(ic0.reordered, "Reorder::Auto must engage RCM under IC(0)");
+    assert!(ic0.reordered, "IC(0) must engage RCM");
     for r in &rows {
         assert!(
             r.max_abs_diff_vs_jacobi <= 1e-4,

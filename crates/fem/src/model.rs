@@ -735,7 +735,6 @@ mod tests {
         let scale = dense.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
         for precond in [
             Precond::Jacobi,
-            Precond::Ssor,
             Precond::Ic0,
             Precond::Chebyshev(4),
             // No grid shape on the FEM path: Multigrid falls back to
@@ -754,7 +753,7 @@ mod tests {
             assert!(stats.converged());
             if precond == Precond::Ic0 {
                 let factor = stats.factorization.expect("IC(0) records factor stats");
-                assert!(factor.reordered, "Auto reorder engages RCM on the FEM path");
+                assert!(factor.reordered, "IC(0) engages RCM on the FEM path");
             }
             if precond == Precond::Multigrid {
                 assert!(

@@ -31,7 +31,9 @@ use crate::registry::Snapshot;
 /// The schema tag stamped into (and required from) every run report.
 pub const SCHEMA: &str = "aeropack-obs-report/v1";
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (quotes not
+/// included).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -164,6 +166,14 @@ impl JsonValue {
     pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
         match self {
             Self::Object(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+
+    /// The items, when this is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            Self::Array(items) => Some(items),
             _ => None,
         }
     }
@@ -601,6 +611,8 @@ mod tests {
         assert!(parse(r#"{"a": }"#).is_err());
         assert!(parse(r#"{"a": 1,}"#).is_err());
         assert!(parse("[1 2]").is_err());
+        assert!(parse("[1, 2,]").is_err());
+        assert!(parse("\"unterminated").is_err());
     }
 
     #[test]

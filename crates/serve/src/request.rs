@@ -12,6 +12,19 @@
 
 use aeropack_solver::Fingerprint;
 
+use crate::error::Error;
+
+/// An invalid-request error unless `value` is finite.
+fn finite(tag: &str, field: &str, value: f64) -> Result<(), Error> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(Error::invalid(format!(
+            "{tag} {field} must be finite, got {value}"
+        )))
+    }
+}
+
 /// Seat structure material for the SEB model (the paper's Fig 10
 /// compares an aluminium and a carbon-composite seat).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +171,19 @@ impl CoolingModeSpec {
         }
     }
 
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        match *self {
+            Self::FreeConvection => Ok(()),
+            Self::ForcedAir { flow_multiplier } | Self::AirFlowThrough { flow_multiplier } => {
+                finite(tag, "flow_multiplier", flow_multiplier)
+            }
+            Self::ConductionCooled { rail_c } => finite(tag, "rail_c", rail_c),
+            Self::LiquidFlowThrough { coolant_inlet_c } => {
+                finite(tag, "coolant_inlet_c", coolant_inlet_c)
+            }
+        }
+    }
+
     fn hash_into(&self, fp: &mut Fingerprint) {
         match *self {
             Self::FreeConvection => fp.write_u8(0),
@@ -200,6 +226,11 @@ impl SebSpec {
         let mut fp = Fingerprint::new("serve.seb");
         self.hash_into(&mut fp);
         fp.finish()
+    }
+
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        finite(tag, "tilt_deg", self.tilt_deg)?;
+        finite(tag, "ambient_c", self.ambient_c)
     }
 
     fn hash_into(&self, fp: &mut Fingerprint) {
@@ -248,6 +279,15 @@ impl PlateSpec {
         fp.finish()
     }
 
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        finite(tag, "lx_m", self.lx_m)?;
+        finite(tag, "ly_m", self.ly_m)?;
+        finite(tag, "thickness_m", self.thickness_m)?;
+        finite(tag, "power_w", self.power_w)?;
+        finite(tag, "h_w_m2k", self.h_w_m2k)?;
+        finite(tag, "ambient_c", self.ambient_c)
+    }
+
     fn hash_into(&self, fp: &mut Fingerprint) {
         fp.write_f64(self.lx_m);
         fp.write_f64(self.ly_m);
@@ -287,6 +327,13 @@ impl BoardSpec {
         fp.finish()
     }
 
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        finite(tag, "power_w", self.power_w)?;
+        self.mode.check_finite(tag)?;
+        finite(tag, "ambient_c", self.ambient_c)?;
+        finite(tag, "resolution_mm", self.resolution_mm)
+    }
+
     fn hash_into(&self, fp: &mut Fingerprint) {
         fp.write_f64(self.power_w);
         self.mode.hash_into(&mut *fp);
@@ -320,6 +367,13 @@ impl FemPlateSpec {
         let mut fp = Fingerprint::new("serve.fem_plate");
         self.hash_into(&mut fp);
         fp.finish()
+    }
+
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        finite(tag, "lx_m", self.lx_m)?;
+        finite(tag, "ly_m", self.ly_m)?;
+        finite(tag, "thickness_mm", self.thickness_mm)?;
+        finite(tag, "smeared_mass_kg_m2", self.smeared_mass_kg_m2)
     }
 
     fn hash_into(&self, fp: &mut Fingerprint) {
@@ -411,6 +465,30 @@ impl MissionSpec {
         }
     }
 
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        match *self {
+            Self::ClimbCruiseDescent {
+                cruise_altitude_m,
+                climb_s,
+                cruise_s,
+                descent_s,
+            } => {
+                finite(tag, "cruise_altitude_m", cruise_altitude_m)?;
+                finite(tag, "climb_s", climb_s)?;
+                finite(tag, "cruise_s", cruise_s)?;
+                finite(tag, "descent_s", descent_s)
+            }
+            Self::OrbitCycle {
+                emissivity,
+                absorptivity,
+                ..
+            } => {
+                finite(tag, "emissivity", emissivity)?;
+                finite(tag, "absorptivity", absorptivity)
+            }
+        }
+    }
+
     fn hash_into(&self, fp: &mut Fingerprint) {
         match *self {
             Self::ClimbCruiseDescent {
@@ -467,6 +545,15 @@ impl TransientSpec {
         fp.finish()
     }
 
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        self.plate.check_finite(tag)?;
+        self.mission.check_finite(tag)?;
+        if let Some(dt) = self.fixed_dt_s {
+            finite(tag, "fixed_dt_s", dt)?;
+        }
+        finite(tag, "initial_c", self.initial_c)
+    }
+
     fn hash_into(&self, fp: &mut Fingerprint) {
         self.plate.hash_into(&mut *fp);
         self.mission.hash_into(&mut *fp);
@@ -513,6 +600,12 @@ impl OptimizeSpec {
         let mut fp = Fingerprint::new("serve.optimize");
         self.hash_into(&mut fp);
         fp.finish()
+    }
+
+    fn check_finite(&self, tag: &str) -> Result<(), Error> {
+        finite(tag, "tilt_deg", self.tilt_deg)?;
+        finite(tag, "ambient_c", self.ambient_c)?;
+        finite(tag, "base_power_w", self.base_power_w)
     }
 
     fn hash_into(&self, fp: &mut Fingerprint) {
@@ -628,10 +721,66 @@ impl AnalysisRequest {
         }
     }
 
+    /// Rejects a request carrying a non-finite number, naming the
+    /// field. JSON has no non-finite numbers, so this holds in-process
+    /// requests to what the wire can carry; the service runs it before
+    /// [`fingerprint`](Self::fingerprint), which panics on NaN.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invalid`] for the first non-finite field.
+    pub(crate) fn validate(&self) -> Result<(), Error> {
+        let tag = self.tag();
+        match self {
+            Self::SebCapability { spec, dt_limit_k } => {
+                spec.check_finite(tag)?;
+                finite(tag, "dt_limit_k", *dt_limit_k)
+            }
+            Self::SebOperatingPoint { spec, power_w } => {
+                spec.check_finite(tag)?;
+                finite(tag, "power_w", *power_w)
+            }
+            Self::SebPowerSweep { spec, powers_w } => {
+                spec.check_finite(tag)?;
+                powers_w
+                    .iter()
+                    .try_for_each(|&p| finite(tag, "powers_w", p))
+            }
+            Self::FvSteady { spec, scale } => {
+                spec.check_finite(tag)?;
+                finite(tag, "scale", *scale)
+            }
+            Self::BoardSteady { spec, scale } => {
+                spec.check_finite(tag)?;
+                finite(tag, "scale", *scale)
+            }
+            Self::FemStatic { spec, load_n } => {
+                spec.check_finite(tag)?;
+                finite(tag, "load_n", *load_n)
+            }
+            Self::FemModal { spec, .. } => spec.check_finite(tag),
+            Self::Transient { spec } => spec.check_finite(tag),
+            Self::Optimize { spec } => spec.check_finite(tag),
+            Self::FemHarmonic {
+                spec,
+                damping,
+                f_min_hz,
+                f_max_hz,
+                ..
+            } => {
+                spec.check_finite(tag)?;
+                finite(tag, "damping", *damping)?;
+                finite(tag, "f_min_hz", *f_min_hz)?;
+                finite(tag, "f_max_hz", *f_max_hz)
+            }
+        }
+    }
+
     /// The content-addressed result-cache key: a canonical hash of the
     /// variant and every parameter. Invariant under how the request
-    /// value was produced; `NaN`-free by construction (the underlying
-    /// [`Fingerprint`] rejects NaN inputs with a panic).
+    /// value was produced. The underlying [`Fingerprint`] rejects NaN
+    /// inputs with a panic, so the service refuses non-finite requests
+    /// before it calls this.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new("serve.request");
         fp.write_str(self.tag());

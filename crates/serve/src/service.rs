@@ -346,6 +346,9 @@ impl Service {
                 "deadline_ms must be positive (a zero deadline expires on admission)",
             )));
         }
+        if let Err(e) = request.validate() {
+            return Ticket::ready(Err(e));
+        }
         let cache_key = Workload::fingerprint(&request);
         if let Some(hit) = self.inner.cache.get(cache_key) {
             self.inner

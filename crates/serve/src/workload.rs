@@ -380,6 +380,7 @@ pub(crate) fn run_request(
     request: &AnalysisRequest,
     ws: &mut Workspace,
 ) -> Result<AnalysisResponse, Error> {
+    request.validate()?;
     match request {
         AnalysisRequest::SebCapability { spec, dt_limit_k } => {
             let ambient = Celsius::new(spec.ambient_c);
@@ -555,16 +556,11 @@ fn run_optimize(spec: &OptimizeSpec) -> Result<AnalysisResponse, Error> {
     if spec.population < 2 {
         return Err(Error::invalid("optimize population must be at least 2"));
     }
-    if !(spec.base_power_w > 0.0 && spec.base_power_w.is_finite()) {
-        return Err(Error::invalid("optimize base_power_w must be positive"));
-    }
+    // Every field is finite (`run_request` validated the request):
     // NaN objectives would break the optimizer's non-dominated sort,
     // whose lexicographic order disagrees with `dominates` on NaN.
-    if !spec.ambient_c.is_finite() {
-        return Err(Error::invalid("optimize ambient_c must be finite"));
-    }
-    if !spec.tilt_deg.is_finite() {
-        return Err(Error::invalid("optimize tilt_deg must be finite"));
+    if spec.base_power_w <= 0.0 {
+        return Err(Error::invalid("optimize base_power_w must be positive"));
     }
     let budget = spec.population as u64 * (spec.generations as u64 + 1);
     if budget > OPTIMIZE_MAX_EVALUATIONS {

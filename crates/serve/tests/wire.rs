@@ -499,14 +499,41 @@ fn non_finite_optimize_inputs_are_invalid_requests() {
                 .expect_err("a non-finite input must not reach the optimizer");
             assert_eq!(err.code(), "invalid", "{field} = {bad}: {err}");
             assert!(err.to_string().contains(field), "{field} = {bad}: {err}");
-            // The queued path answers alike; NaN never gets that far,
-            // as it cannot form a cache key.
-            if !bad.is_nan() {
+            // The queued path answers alike, NaN included: the request
+            // is refused before it is fingerprinted for the cache.
+            let err = service.submit(request).wait().expect_err("queued");
+            assert_eq!(err.code(), "invalid", "{field} = {bad}: {err}");
+            assert!(err.to_string().contains(field), "{field} = {bad}: {err}");
+        }
+        for (field, spec) in [
+            (
+                "power_w",
+                PlateSpec {
+                    power_w: bad,
+                    ..plate_spec()
+                },
+            ),
+            (
+                "h_w_m2k",
+                PlateSpec {
+                    h_w_m2k: bad,
+                    ..plate_spec()
+                },
+            ),
+        ] {
+            for request in [
+                AnalysisRequest::FvSteady { spec, scale: 1.0 },
+                AnalysisRequest::FvSteady {
+                    spec: plate_spec(),
+                    scale: bad,
+                },
+            ] {
                 let err = service.submit(request).wait().expect_err("queued");
                 assert_eq!(err.code(), "invalid", "{field} = {bad}: {err}");
             }
         }
     }
+    assert_eq!(service.stats().submitted, 0, "nothing non-finite is queued");
 
     // JSON has no non-finite numbers: such a line is a wire error, and
     // the connection goes on to answer a finite request.

@@ -3,7 +3,7 @@
 //!
 //! The Chebyshev preconditioner applies a fixed polynomial `q(D⁻¹A)`
 //! chosen to approximate the inverse over a target eigenvalue interval
-//! `[λ_lo, λ_hi]`. Unlike SSOR or IC(0) it needs **no triangular
+//! `[λ_lo, λ_hi]`. Unlike IC(0) it needs **no triangular
 //! solves** — each step is one SpMV plus elementwise work — so its
 //! application has no sequential dependency and parallelises exactly
 //! like the SpMV kernel, staying bitwise identical at any thread

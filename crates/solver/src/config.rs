@@ -3,35 +3,6 @@
 
 use crate::stats::{Method, Precond, SolverStats};
 
-/// Symmetric reordering applied to the system before an iterative
-/// solve. Reordering never changes what is solved — the solution is
-/// permuted back before it leaves the solver — but it changes the
-/// factor quality and memory locality of factorisation-based
-/// preconditioners.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Reorder {
-    /// Reorder when the preconditioner benefits from it: reverse
-    /// Cuthill–McKee for [`Precond::Ic0`], natural ordering otherwise.
-    /// This is the default.
-    #[default]
-    Auto,
-    /// Never reorder (natural ordering).
-    None,
-    /// Always apply reverse Cuthill–McKee bandwidth reduction.
-    Rcm,
-}
-
-impl Reorder {
-    /// Whether RCM actually engages for the given preconditioner.
-    pub fn engages(self, precond: Precond) -> bool {
-        match self {
-            Self::Auto => precond == Precond::Ic0,
-            Self::None => false,
-            Self::Rcm => true,
-        }
-    }
-}
-
 /// Configuration for a linear solve, built fluently:
 ///
 /// ```
@@ -39,7 +10,7 @@ impl Reorder {
 ///
 /// let cfg = SolverConfig::new()
 ///     .method(Method::Pcg)
-///     .preconditioner(Precond::Ssor)
+///     .preconditioner(Precond::Ic0)
 ///     .tolerance(1e-11)
 ///     .threads(4);
 /// assert_eq!(cfg.get_threads(), 4);
@@ -53,7 +24,6 @@ pub struct SolverConfig {
     threads: usize,
     context: &'static str,
     record_history: bool,
-    reorder: Reorder,
     grid_dims: Option<(usize, usize, usize)>,
 }
 
@@ -67,7 +37,6 @@ impl Default for SolverConfig {
             threads: 1,
             context: "linear solve",
             record_history: true,
-            reorder: Reorder::Auto,
             grid_dims: None,
         }
     }
@@ -170,19 +139,6 @@ impl SolverConfig {
         self.record_history
     }
 
-    /// Selects the symmetric reordering policy (default
-    /// [`Reorder::Auto`]: RCM engages with [`Precond::Ic0`]).
-    #[must_use]
-    pub fn reorder(mut self, reorder: Reorder) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// The configured reordering policy.
-    pub fn get_reorder(&self) -> Reorder {
-        self.reorder
-    }
-
     /// Declares the structured-grid shape `(nx, ny, nz)` behind the
     /// matrix (row index `i = ix + nx·(iy + ny·iz)`), which lets
     /// [`Precond::Multigrid`] build its geometric coarsening hierarchy.
@@ -199,11 +155,6 @@ impl SolverConfig {
     /// The declared structured-grid shape, if any.
     pub fn get_grid_dims(&self) -> Option<(usize, usize, usize)> {
         self.grid_dims
-    }
-
-    /// Whether RCM reordering actually engages for this configuration.
-    pub fn rcm_engages(&self) -> bool {
-        self.reorder.engages(self.precond)
     }
 }
 

@@ -326,40 +326,6 @@ impl CsrMatrix {
         self.spmv_rows(0, self.n, x, &mut y);
         y
     }
-
-    /// Applies one SSOR (ω = 1, symmetric Gauss–Seidel) preconditioner
-    /// solve `z = M⁻¹·r` with `M = (D + L)·D⁻¹·(D + U)`, using `diag`
-    /// as the (pre-screened, positive) diagonal.
-    pub(crate) fn ssor_apply(&self, diag: &[f64], r: &[f64], z: &mut [f64]) {
-        let n = self.n;
-        // Forward sweep: (D + L)·u = r, stored into z.
-        for i in 0..n {
-            let mut acc = r[i];
-            for idx in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[idx];
-                if j >= i {
-                    break;
-                }
-                acc -= self.vals[idx] * z[j];
-            }
-            z[i] = acc / diag[i];
-        }
-        // Scale by D, then backward sweep: (D + U)·z = D·u.
-        for i in 0..n {
-            z[i] *= diag[i];
-        }
-        for i in (0..n).rev() {
-            let mut acc = z[i];
-            for idx in (self.row_ptr[i]..self.row_ptr[i + 1]).rev() {
-                let j = self.col_idx[idx];
-                if j <= i {
-                    break;
-                }
-                acc -= self.vals[idx] * z[j];
-            }
-            z[i] = acc / diag[i];
-        }
-    }
 }
 
 /// Row-block width of the SELL-style layout: how many rows share one

@@ -12,15 +12,15 @@
 //!   partitioning keeps the result bitwise identical at any thread
 //!   count.
 //! * [`solve_sparse`] — preconditioned conjugate gradient with
-//!   pluggable [`Precond::Jacobi`] / [`Precond::Ssor`] /
-//!   [`Precond::Ic0`] / [`Precond::Chebyshev`] /
-//!   [`Precond::Multigrid`] preconditioners. IC(0) factors on the
+//!   pluggable [`Precond::Jacobi`] / [`Precond::Ic0`] /
+//!   [`Precond::Chebyshev`] / [`Precond::Multigrid`]
+//!   preconditioners. IC(0) factors on the
 //!   matrix's own sparsity pattern (with diagonal-shift breakdown
 //!   fallback), caches the factor in the [`PcgWorkspace`] for reuse
 //!   across a sweep, applies it through level-scheduled parallel
-//!   triangular solves, and by default runs on a reverse
-//!   Cuthill–McKee reordering of the system ([`Reorder`]) for better
-//!   factor quality and locality. Multigrid builds a smoothed-
+//!   triangular solves, and runs on a reverse Cuthill–McKee
+//!   reordering of the system for better factor quality and
+//!   locality. Multigrid builds a smoothed-
 //!   aggregation hierarchy from [`SolverConfig::grid_dims`] with
 //!   Galerkin coarse operators, Chebyshev smoothers and a dense
 //!   Cholesky coarse solve; Chebyshev is its pure-algebraic fallback
@@ -49,7 +49,7 @@
 //! });
 //! let cfg = SolverConfig::new()
 //!     .method(Method::Pcg)
-//!     .preconditioner(Precond::Ssor)
+//!     .preconditioner(Precond::Ic0)
 //!     .tolerance(1e-12);
 //! let sol = aeropack_solver::solve_sparse(&a, &vec![1.0; n], &cfg).unwrap();
 //! assert!(sol.stats.final_residual <= 1e-12);
@@ -71,7 +71,7 @@ mod reorder;
 mod stats;
 
 pub use cheb::{estimate_dinv_spectrum, EigBounds};
-pub use config::{Reorder, Solution, SolverConfig};
+pub use config::{Solution, SolverConfig};
 pub use csr::{CsrMatrix, CsrPattern, SellMatrix};
 pub use dense::{solve_dense, DenseCholesky, DenseLu};
 pub use error::SolverError;

@@ -36,16 +36,13 @@ pub enum Precond {
     None,
     /// Diagonal (Jacobi) scaling.
     Jacobi,
-    /// Symmetric successive over-relaxation with ω = 1 (symmetric
-    /// Gauss–Seidel). Requires explicit sparse storage.
-    Ssor,
     /// Incomplete Cholesky IC(0): a sparse factorisation on the matrix's
     /// own sparsity pattern, applied as forward/backward triangular
     /// solves. Requires explicit sparse storage; the factor is cached in
     /// the [`PcgWorkspace`](crate::PcgWorkspace) and reused across
     /// solves of the same matrix (a power sweep factors once and applies
-    /// many times). By default the system is RCM-reordered first — see
-    /// [`Reorder`](crate::Reorder).
+    /// many times). The system is RCM-reordered first, for a tighter
+    /// factor profile and shallower triangular-solve levels.
     Ic0,
     /// `k`-step Chebyshev polynomial preconditioning on the
     /// Jacobi-scaled operator `D⁻¹A`. Purely algebraic — only SpMV and
@@ -70,14 +67,13 @@ pub enum Precond {
 
 impl Precond {
     /// A stable small-integer code for fingerprinting and wire formats.
-    /// The first four values match the historical enum discriminants,
-    /// so fingerprints of Jacobi/SSOR/IC(0) configurations are
-    /// unchanged by the addition of the data-carrying variants.
+    /// The values are the historical enum discriminants; code 2 (the
+    /// removed SSOR variant) stays unused, so fingerprints of the
+    /// remaining variants never move.
     pub fn code(self) -> u8 {
         match self {
             Self::None => 0,
             Self::Jacobi => 1,
-            Self::Ssor => 2,
             Self::Ic0 => 3,
             Self::Chebyshev(_) => 4,
             Self::Multigrid => 5,
@@ -100,7 +96,6 @@ impl fmt::Display for Precond {
         match self {
             Self::None => f.write_str("none"),
             Self::Jacobi => f.write_str("Jacobi"),
-            Self::Ssor => f.write_str("SSOR"),
             Self::Ic0 => f.write_str("IC(0)"),
             Self::Chebyshev(k) => write!(f, "Chebyshev({k})"),
             Self::Multigrid => f.write_str("MG"),

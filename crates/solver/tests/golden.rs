@@ -1,4 +1,4 @@
-//! Golden tests: PCG (Jacobi and SSOR) against dense Cholesky on
+//! Golden tests: PCG (every preconditioner) against dense Cholesky on
 //! shared SPD fixtures, plus the threading determinism contract.
 
 use aeropack_solver::{solve_dense, solve_sparse, CsrMatrix, Method, Precond, SolverConfig};
@@ -64,7 +64,6 @@ fn pcg_matches_dense_cholesky_on_spd_fixtures() {
         let x_norm = chol.x.iter().map(|v| v * v).sum::<f64>().sqrt();
         for precond in [
             Precond::Jacobi,
-            Precond::Ssor,
             Precond::Ic0,
             Precond::Chebyshev(4),
             // No grid shape here, so this exercises the automatic

@@ -137,12 +137,34 @@ fn warm_pcg_solve_performs_no_heap_allocation() {
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     let factor = stats.factorization.expect("IC(0) reports factor stats");
     assert!(factor.reused, "warm IC(0) solve must reuse the factor");
-    assert!(factor.reordered, "Reorder::Auto engages RCM for IC(0)");
+    assert!(factor.reordered, "IC(0) engages RCM");
     assert!(stats.converged());
     assert_eq!(
         after - before,
         0,
         "warm IC(0) solve allocated {} time(s); the factor-cached path must be allocation-free",
+        after - before
+    );
+
+    // IC(0) on the same pattern with new values — what a mission does
+    // on every θ-matrix rebuild: the RCM copy refreshes its values and
+    // the factor refactors numerically, both in place.
+    let scaled = CsrMatrix::from_pattern_row_fn(&a.pattern(), 1, |i, row| {
+        for idx in a.row_offsets()[i]..a.row_offsets()[i + 1] {
+            row.push((a.col_indices()[idx], 3.0 * a.values()[idx]));
+        }
+    });
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let stats =
+        solve_sparse_into(&mut ws, &scaled, &b, &mut x, &ic0_cfg).expect("IC(0) refactor solve");
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let factor = stats.factorization.expect("IC(0) reports factor stats");
+    assert!(!factor.reused, "new values must refactor, not reuse");
+    assert!(stats.converged());
+    assert_eq!(
+        after - before,
+        0,
+        "IC(0) refactor solve allocated {} time(s); the same-pattern refresh must be allocation-free",
         after - before
     );
 

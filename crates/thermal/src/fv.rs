@@ -798,7 +798,6 @@ impl FvModel {
         fp.write_u8(self.config.get_method() as u8);
         fp.write_u8(self.config.get_preconditioner().code());
         fp.write_u8(self.config.get_preconditioner().degree() as u8);
-        fp.write_u8(self.config.get_reorder() as u8);
         fp.write_f64(self.config.get_tolerance());
         fp.finish()
     }
@@ -1499,11 +1498,11 @@ mod tests {
             .unwrap();
         model.set_face_bc(Face::XMin, FaceBc::FixedTemperature(Celsius::new(20.0)));
         assert!(model.last_solve_stats().is_none());
-        model.set_solver_config(SolverConfig::new().preconditioner(Precond::Ssor).threads(2));
+        model.set_solver_config(SolverConfig::new().preconditioner(Precond::Ic0).threads(2));
         model.solve_steady().unwrap();
         let stats = model.last_solve_stats().unwrap();
         assert_eq!(stats.method, Method::Pcg);
-        assert_eq!(stats.preconditioner, Precond::Ssor);
+        assert_eq!(stats.preconditioner, Precond::Ic0);
         assert_eq!(stats.threads, 2);
         assert_eq!(stats.unknowns, 64);
         assert!(stats.iterations > 0);
@@ -1604,7 +1603,7 @@ mod tests {
             .unwrap();
         model.set_face_bc(Face::XMin, FaceBc::FixedTemperature(Celsius::new(20.0)));
         let jacobi = model.solve_steady().unwrap();
-        for (precond, threads) in [(Precond::Ssor, 4), (Precond::Ic0, 2)] {
+        for (precond, threads) in [(Precond::Multigrid, 4), (Precond::Ic0, 2)] {
             model.set_solver_config(SolverConfig::new().preconditioner(precond).threads(threads));
             let other = model.solve_steady().unwrap();
             for i in 0..6 {

@@ -23,13 +23,11 @@
 
 pub mod check;
 pub mod gen;
-pub mod json;
 pub mod mms;
 pub mod snapshot;
 
 pub use check::{check, check_outcome, Failure};
 pub use gen::{constant, one_of, tuple3, tuple4, tuple5, Gen, Source};
-pub use json::Json;
 pub use mms::{
     fem_plate_study, fit_order, mission_temporal_error, mission_temporal_study, thermal_fv_study,
     MmsStudy,

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::json::Json;
+use aeropack_obs::report::{escape, parse, JsonValue};
 
 /// Environment variable that switches [`Snapshot::gate`] into update
 /// mode.
@@ -92,19 +92,22 @@ impl Snapshot {
             .quantities
             .iter()
             .map(|q| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(q.name.clone())),
-                    ("value".into(), Json::Num(q.value)),
-                    ("tol_abs".into(), Json::Num(q.tol_abs)),
-                    ("tol_rel".into(), Json::Num(q.tol_rel)),
+                JsonValue::Object(vec![
+                    ("name".into(), JsonValue::String(q.name.clone())),
+                    ("value".into(), JsonValue::Number(q.value)),
+                    ("tol_abs".into(), JsonValue::Number(q.tol_abs)),
+                    ("tol_rel".into(), JsonValue::Number(q.tol_rel)),
                 ])
             })
             .collect();
-        let doc = Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("quantities".into(), Json::Arr(quantities)),
+        let doc = JsonValue::Object(vec![
+            ("name".into(), JsonValue::String(self.name.clone())),
+            ("quantities".into(), JsonValue::Array(quantities)),
         ]);
-        format!("{doc}\n")
+        let mut out = String::new();
+        write_indented(&mut out, &doc, 0);
+        out.push('\n');
+        out
     }
 
     /// Parses the golden JSON format.
@@ -114,26 +117,26 @@ impl Snapshot {
     /// Returns a message on malformed JSON or a missing/ill-typed
     /// field.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text)?;
+        let doc = parse(text).map_err(|e| e.to_string())?;
         let name = doc
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("snapshot missing 'name'")?
             .to_string();
         let mut snapshot = Self::new(name);
         let items = doc
             .get("quantities")
-            .and_then(Json::as_array)
+            .and_then(JsonValue::as_array)
             .ok_or("snapshot missing 'quantities'")?;
         for item in items {
             let field = |key: &str| {
                 item.get(key)
-                    .and_then(Json::as_f64)
+                    .and_then(JsonValue::as_number)
                     .ok_or_else(|| format!("quantity missing '{key}'"))
             };
             snapshot.push(
                 item.get("name")
-                    .and_then(Json::as_str)
+                    .and_then(JsonValue::as_str)
                     .ok_or("quantity missing 'name'")?,
                 field("value")?,
                 field("tol_abs")?,
@@ -244,6 +247,56 @@ impl Snapshot {
     }
 }
 
+/// Writes `v` in the golden-file layout: two-space indentation, one
+/// item or field per line, and numbers in Rust's shortest round-trip
+/// form, so write → parse is lossless.
+fn write_indented(out: &mut String, v: &JsonValue, depth: usize) {
+    let pad_in = "  ".repeat(depth + 1);
+    let close = |out: &mut String, bracket: char| {
+        out.push_str(&"  ".repeat(depth));
+        out.push(bracket);
+    };
+    match v {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        JsonValue::Number(x) => {
+            debug_assert!(x.is_finite(), "JSON numbers must be finite");
+            let _ = write!(out, "{x}");
+        }
+        JsonValue::String(s) => write_escaped(out, s),
+        JsonValue::Array(items) if items.is_empty() => out.push_str("[]"),
+        JsonValue::Array(items) => {
+            out.push_str("[\n");
+            for (i, item) in items.iter().enumerate() {
+                out.push_str(&pad_in);
+                write_indented(out, item, depth + 1);
+                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+            }
+            close(out, ']');
+        }
+        JsonValue::Object(fields) if fields.is_empty() => out.push_str("{}"),
+        JsonValue::Object(fields) => {
+            out.push_str("{\n");
+            for (i, (k, v)) in fields.iter().enumerate() {
+                out.push_str(&pad_in);
+                write_escaped(out, k);
+                out.push_str(": ");
+                write_indented(out, v, depth + 1);
+                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+            }
+            close(out, '}');
+        }
+    }
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape(s));
+    out.push('"');
+}
+
 /// Formats comparison rows as a fixed-width per-quantity table.
 pub fn drift_table(name: &str, rows: &[Drift]) -> String {
     let width = rows.iter().map(|r| r.name.len()).max().unwrap_or(8).max(8);
@@ -293,6 +346,34 @@ mod tests {
         let s = sample();
         let back = Snapshot::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn floats_and_escaped_names_round_trip_exactly() {
+        let mut s = Snapshot::new("line\nbreak \"quoted\" \\slash\ttab");
+        for v in [
+            0.1,
+            -3.25e-17,
+            1.0 / 3.0,
+            f64::MIN_POSITIVE,
+            12345.678901234567,
+            37.251_234_567_891,
+        ] {
+            s.push(format!("p/{v}"), v, 1e-9, 0.0);
+        }
+        let back = Snapshot::from_json(&s.to_json()).unwrap();
+        assert_eq!(back.name, s.name);
+        for (b, q) in back.quantities.iter().zip(&s.quantities) {
+            assert_eq!(b.name, q.name);
+            assert_eq!(b.value.to_bits(), q.value.to_bits(), "{}", q.value);
+        }
+    }
+
+    #[test]
+    fn malformed_golden_files_are_errors() {
+        assert!(Snapshot::from_json("{").is_err());
+        assert!(Snapshot::from_json("{} trailing").is_err());
+        assert!(Snapshot::from_json(r#"{"name": "x"}"#).is_err());
     }
 
     #[test]

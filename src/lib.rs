@@ -13,7 +13,8 @@
 //!   tester.
 //! * [`envqual`] — DO-160 environmental qualification and reliability.
 //! * [`solver`] — the shared sparse/dense linear solver backend
-//!   (CSR + threaded SpMV, PCG with Jacobi/SSOR, solve statistics).
+//!   (CSR + threaded SpMV, PCG with Jacobi/IC(0)/Chebyshev/multigrid,
+//!   solve statistics).
 //! * [`sweep`] — the deterministic parallel scenario-sweep engine
 //!   (order-preserving thread-scoped runner, `AEROPACK_THREADS`
 //!   configuration, per-sweep solver-stats roll-ups).

@@ -214,7 +214,7 @@ fn golden_optimize_front() {
     gate("optimize_front", &snapshot);
 }
 
-/// PCG (Jacobi and SSOR) against dense Cholesky on a banded SPD
+/// PCG (Jacobi) against dense Cholesky on a banded SPD
 /// fixture: the differential residual ‖x_pcg − x_chol‖/‖x_chol‖ pins
 /// the iterative path to the direct one.
 #[test]
@@ -261,30 +261,28 @@ fn golden_solver_differential_residuals() {
     let chol_norm = norm(&chol.x);
 
     let mut snapshot = Snapshot::new("solver_differential_residuals");
-    for (label, precond) in [("jacobi", Precond::Jacobi), ("ssor", Precond::Ssor)] {
-        let cfg = SolverConfig::new()
-            .method(Method::Pcg)
-            .preconditioner(precond)
-            .tolerance(1e-12);
-        let pcg = aeropack::solver::solve_sparse(&a, &b, &cfg).unwrap();
-        let diff: f64 = norm(
-            &pcg.x
-                .iter()
-                .zip(&chol.x)
-                .map(|(p, q)| p - q)
-                .collect::<Vec<_>>(),
-        ) / chol_norm;
-        // The differential residual itself is noise-limited near the
-        // solve tolerance; gate its magnitude with an absolute band.
-        snapshot.push(format!("{label}_rel_diff"), diff, 1e-10, 0.0);
-        snapshot.push(
-            format!("{label}_iterations"),
-            pcg.stats.iterations as f64,
-            // Iteration counts are integers; allow ±2 for platform FP.
-            2.0,
-            0.0,
-        );
-    }
+    let cfg = SolverConfig::new()
+        .method(Method::Pcg)
+        .preconditioner(Precond::Jacobi)
+        .tolerance(1e-12);
+    let pcg = aeropack::solver::solve_sparse(&a, &b, &cfg).unwrap();
+    let diff: f64 = norm(
+        &pcg.x
+            .iter()
+            .zip(&chol.x)
+            .map(|(p, q)| p - q)
+            .collect::<Vec<_>>(),
+    ) / chol_norm;
+    // The differential residual itself is noise-limited near the solve
+    // tolerance; gate its magnitude with an absolute band.
+    snapshot.push("jacobi_rel_diff", diff, 1e-10, 0.0);
+    snapshot.push(
+        "jacobi_iterations",
+        pcg.stats.iterations as f64,
+        // Iteration counts are integers; allow ±2 for platform FP.
+        2.0,
+        0.0,
+    );
     snapshot.push("cholesky_solution_norm", chol_norm, 1e-9, 1e-9);
     gate("solver_differential_residuals", &snapshot);
 }

@@ -224,7 +224,7 @@ fn fv_power_sweep_with_ic0_is_bit_identical_across_thread_counts() {
                 let stats = model.last_solve_stats().expect("stats");
                 assert!(stats.converged());
                 let factor = stats.factorization.expect("IC(0) factor stats");
-                assert!(factor.reordered, "Auto reorder engages RCM for IC(0)");
+                assert!(factor.reordered, "IC(0) engages RCM");
                 field.temperatures().iter().map(|t| t.to_bits()).collect()
             },
         )
