@@ -1002,6 +1002,10 @@ fn bench_fv_large(smoke: bool, hardware_threads: usize) -> FvLargeReport {
         mg_spec.levels >= 2,
         "multigrid must actually coarsen the {n}³ grid"
     );
+    assert!(
+        mg_spec.galerkin_time > Duration::ZERO,
+        "the cold multigrid solve runs with obs on and must report its setup phases"
+    );
 
     let mut mg_iterations_half = None;
     if !smoke {
@@ -1163,6 +1167,16 @@ fn emit_json(
                 s.coarse_unknowns,
                 s.hierarchy_nnz,
             ));
+            if r.precond == "mg" {
+                row.push_str(&format!(
+                    ", \"setup_phase_seconds\": {{\"eig_bounds\": {:.6}, \
+                     \"prolongation\": {:.6}, \"galerkin\": {:.6}, \"coarse_factor\": {:.6}}}",
+                    s.eig_bounds_time.as_secs_f64(),
+                    s.prolongation_time.as_secs_f64(),
+                    s.galerkin_time.as_secs_f64(),
+                    s.coarse_factor_time.as_secs_f64(),
+                ));
+            }
         }
         row.push_str(&format!(
             "}}{}\n",
@@ -1357,6 +1371,16 @@ fn main() {
                      {} coarse unknowns",
                     s.levels, s.smoother, s.degree, s.eig_low, s.eig_high, s.coarse_unknowns
                 );
+                if r.precond == "mg" {
+                    print!(
+                        ", setup phases: eig-bounds {:.1} ms, prolongation {:.1} ms, \
+                         Galerkin {:.1} ms, coarse factor {:.1} ms",
+                        s.eig_bounds_time.as_secs_f64() * 1e3,
+                        s.prolongation_time.as_secs_f64() * 1e3,
+                        s.galerkin_time.as_secs_f64() * 1e3,
+                        s.coarse_factor_time.as_secs_f64() * 1e3,
+                    );
+                }
             }
             println!();
         }

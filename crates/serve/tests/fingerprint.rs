@@ -7,6 +7,7 @@ use aeropack_materials::Material;
 use aeropack_serve::{
     AnalysisRequest, BoardSpec, CoolingModeSpec, MaterialKind, PlateSpec, Workload,
 };
+use aeropack_solver::{Precond, SolverConfig};
 use aeropack_thermal::{FvGrid, FvModel};
 use aeropack_units::{Celsius, Length, Power};
 
@@ -82,6 +83,20 @@ fn fv_fingerprint_tracks_the_source_field() {
         model.fingerprint()
     };
     assert_ne!(base(5.0), base(5.5));
+}
+
+#[test]
+fn fv_fingerprint_tracks_the_full_chebyshev_degree() {
+    // Degrees 256 apart must not share a result-cache entry: they run
+    // different polynomials.
+    let with_degree = |k: usize| {
+        let grid = FvGrid::new((0.1, 0.1, 0.002), (10, 10, 1)).expect("grid");
+        let mut model = FvModel::new(grid, &Material::aluminum_6061());
+        model.set_solver_config(SolverConfig::new().preconditioner(Precond::Chebyshev(k)));
+        model.fingerprint()
+    };
+    assert_ne!(with_degree(4), with_degree(260));
+    assert_eq!(with_degree(4), with_degree(4));
 }
 
 #[test]

@@ -6,11 +6,16 @@
 //! the textbook multigrid case. This module builds a grid hierarchy by
 //! **2×2×2 cell aggregation** (ceil division per axis, so odd extents
 //! coarsen cleanly), forms **smoothed-aggregation prolongation**
-//! `P = (I − ω·D⁻¹A)·P₀` with the standard damping `ω = 4/(3·λ_max)`,
-//! assembles **Galerkin coarse operators** `A_c = Pᵀ·A·P`, and solves
-//! the coarsest level directly with the existing dense Cholesky. Each
-//! level smooths with a short Chebyshev polynomial targeted at the
-//! upper (oscillatory) part of the spectrum — no triangular solves
+//! `P = (I − ω·D⁻¹A)^s·P₀` with the standard damping `ω = 4/(3·λ_max)`
+//! — two Jacobi passes (`s = 2`) out of the fine level, one on every
+//! coarser level, so the coarse operators do not fill in level after
+//! level — assembles **Galerkin coarse operators** `A_c = Pᵀ·A·P`, and
+//! solves the coarsest level directly with the existing dense
+//! Cholesky. Both setup products gather rows through one sparse
+//! accumulator: one check per product term and a sort of each row's
+//! distinct columns, never of its terms. Each level smooths with a
+//! short Chebyshev polynomial targeted at the upper (oscillatory) part
+//! of the spectrum — no triangular solves
 //! anywhere, so unlike IC(0) the application has **no sequential
 //! dependency**: every kernel is SpMV-shaped and stays bitwise
 //! identical at any thread count.
@@ -28,6 +33,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseCholesky;
 use crate::error::SolverError;
 use crate::stats::SpectralStats;
+use std::time::{Duration, Instant};
 
 /// Coarsest-level size at which the hierarchy stops and a dense
 /// Cholesky factorisation takes over.
@@ -168,6 +174,32 @@ pub(crate) struct MgHierarchy {
     coarse_x: Vec<f64>,
     hierarchy_nnz: usize,
     fine_eig_high: f64,
+    /// Setup wall time per phase, summed over levels (zero unless
+    /// observability was enabled during the build).
+    times: SetupTimes,
+}
+
+/// Wall time of each hierarchy setup phase, summed over levels.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetupTimes {
+    eig_bounds: Duration,
+    /// Aggregation plus the Jacobi-smoothed transfer products.
+    prolongation: Duration,
+    galerkin: Duration,
+    /// Dense assembly and Cholesky factorisation of the coarsest level.
+    coarse_factor: Duration,
+}
+
+/// Runs `f`, adding its wall time to `total` when `on`; reads no clock
+/// otherwise.
+fn timed<T>(on: bool, total: &mut Duration, f: impl FnOnce() -> T) -> T {
+    if !on {
+        return f();
+    }
+    let start = Instant::now();
+    let out = f();
+    *total += start.elapsed();
+    out
 }
 
 /// The aggregate (coarse-cell) id of every fine cell under 2×2×2
@@ -186,32 +218,55 @@ fn aggregate_ids(dims: (usize, usize, usize), cdims: (usize, usize, usize)) -> V
     agg
 }
 
-/// Jacobi-smoothing passes applied to the tentative prolongation. One
-/// pass is the classic smoothed-aggregation choice; the second buys a
-/// noticeably better low-mode interpolation (the V-cycle limiter under
-/// 8× coarsening) for a modest stencil-growth cost.
-const PROLONG_SMOOTH_PASSES: usize = 2;
+/// Jacobi-smoothing passes applied to the tentative prolongation out
+/// of grid level `level` (0 = finest). Each pass widens every row of
+/// `P` by one stencil hop, and the Galerkin product squares that
+/// growth into the coarse operator, so passes are spent where they
+/// buy convergence. Two passes on the fine level give the better
+/// low-mode interpolation that 8× aggregation needs to hold the 33³
+/// V-cycle factor near 0.10 (one pass everywhere gives 0.26); coarser
+/// levels take the classic single pass, which keeps their operators
+/// from filling in level after level.
+fn prolong_smooth_passes(level: usize) -> usize {
+    if level == 0 {
+        2
+    } else {
+        1
+    }
+}
 
 /// Builds the smoothed-aggregation prolongation
-/// `P = (I − ω·D⁻¹·A)^s · P₀` where `P₀[i, agg(i)] = 1` and
-/// `s = `[`PROLONG_SMOOTH_PASSES`]. Row `i` of `P` spans the
-/// aggregates of `i`'s `s`-hop stencil neighbourhood.
-fn smoothed_prolongation(a: &CsrMatrix, agg: &[usize], ncoarse: usize, omega: f64) -> Transfer {
+/// `P = (I − ω·D⁻¹·A)^s · P₀` where `P₀[i, agg(i)] = 1`, `D` is `diag`
+/// and `s = passes`. Row `i` of `P` spans the aggregates of `i`'s
+/// `s`-hop stencil neighbourhood.
+fn smoothed_prolongation(
+    a: &CsrMatrix,
+    diag: &[f64],
+    agg: &[usize],
+    ncoarse: usize,
+    omega: f64,
+    passes: usize,
+) -> Transfer {
     let n = a.n();
     let mut row_ptr: Vec<usize> = (0..=n).collect();
     let mut cols: Vec<usize> = agg.to_vec();
     let mut vals: Vec<f64> = vec![1.0; n];
-    for _ in 0..PROLONG_SMOOTH_PASSES {
-        (row_ptr, cols, vals) = jacobi_smooth_transfer(a, &row_ptr, &cols, &vals, omega);
+    for _ in 0..passes {
+        (row_ptr, cols, vals) =
+            jacobi_smooth_transfer(a, diag, ncoarse, &row_ptr, &cols, &vals, omega);
     }
     Transfer::with_transpose(n, ncoarse, row_ptr, cols, vals)
 }
 
 /// One application of `S = I − ω·D⁻¹·A` to a sparse transfer operator
-/// given as CSR triplets, with fixed (sorted-merge) accumulation order
-/// so the product is deterministic.
+/// with `ncols` columns, given as CSR triplets. Each row gathers the
+/// row of `P` first, then `A`'s row in stored order, through a
+/// [`RowAccumulator`], so the product is deterministic and equal bit
+/// for bit to a stable sort-and-merge of the row's terms.
 fn jacobi_smooth_transfer(
     a: &CsrMatrix,
+    diag: &[f64],
+    ncols: usize,
     p_row_ptr: &[usize],
     p_cols: &[usize],
     p_vals: &[f64],
@@ -225,43 +280,73 @@ fn jacobi_smooth_transfer(
     let mut cols = Vec::new();
     let mut vals = Vec::new();
     row_ptr.push(0);
-    let mut entries: Vec<(usize, f64)> = Vec::with_capacity(32);
+    let mut row = RowAccumulator::new(ncols);
     for i in 0..n {
-        entries.clear();
         // Identity part: row i of P as-is.
         for k in p_row_ptr[i]..p_row_ptr[i + 1] {
-            entries.push((p_cols[k], p_vals[k]));
+            row.add(i, p_cols[k], p_vals[k]);
         }
-        let scale_i = -omega / a.get(i, i);
+        let scale_i = -omega / diag[i];
         for idx in row_ptr_a[i]..row_ptr_a[i + 1] {
             let j = cols_a[idx];
             let w = scale_i * vals_a[idx];
             for k in p_row_ptr[j]..p_row_ptr[j + 1] {
-                entries.push((p_cols[k], w * p_vals[k]));
+                row.add(i, p_cols[k], w * p_vals[k]);
             }
         }
-        entries.sort_by_key(|e| e.0);
-        let mut k = 0;
-        while k < entries.len() {
-            let (col, mut acc) = entries[k];
-            k += 1;
-            while k < entries.len() && entries[k].0 == col {
-                acc += entries[k].1;
-                k += 1;
-            }
-            cols.push(col);
-            vals.push(acc);
-        }
+        row.emit(&mut cols, &mut vals);
         row_ptr.push(cols.len());
     }
     (row_ptr, cols, vals)
 }
 
+/// Sparse row accumulator for the setup products: a value slot and a
+/// last-row marker per output column, plus the list of columns the
+/// current row touched. The first term to reach a column in a row
+/// assigns it and later terms add, so each column's sum is the left
+/// fold of its terms in arrival order — the sum a stable sort-and-merge
+/// of the row's terms forms — at one check per term plus a sort of the
+/// row's distinct columns.
+struct RowAccumulator {
+    acc: Vec<f64>,
+    marker: Vec<usize>,
+    touched: Vec<usize>,
+}
+
+impl RowAccumulator {
+    fn new(ncols: usize) -> Self {
+        Self {
+            acc: vec![0.0; ncols],
+            marker: vec![usize::MAX; ncols],
+            touched: Vec::with_capacity(64),
+        }
+    }
+
+    /// Adds the term `v` to column `col` of row `row`. Rows must be
+    /// gathered one at a time, each finished by [`Self::emit`].
+    #[inline]
+    fn add(&mut self, row: usize, col: usize, v: f64) {
+        if self.marker[col] == row {
+            self.acc[col] += v;
+        } else {
+            self.marker[col] = row;
+            self.acc[col] = v;
+            self.touched.push(col);
+        }
+    }
+
+    /// Appends the finished row to `cols`/`vals` by ascending column.
+    fn emit(&mut self, cols: &mut Vec<usize>, vals: &mut Vec<f64>) {
+        self.touched.sort_unstable();
+        cols.extend_from_slice(&self.touched);
+        vals.extend(self.touched.iter().map(|&c| self.acc[c]));
+        self.touched.clear();
+    }
+}
+
 /// Assembles the Galerkin coarse operator `A_c = Pᵀ·A·P` serially with
-/// a fixed accumulation order (sparse accumulator + ascending-column
-/// emission), so the product is deterministic. A per-column marker
-/// holds the last row that touched each coarse column, so collecting a
-/// row's columns costs one check per product term.
+/// a fixed accumulation order ([`RowAccumulator`] with ascending-column
+/// emission), so the product is deterministic.
 fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
     let n = a.n();
     let nc = p.ncols;
@@ -270,29 +355,16 @@ fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
     let mut ap_cols = Vec::new();
     let mut ap_vals = Vec::new();
     ap_row_ptr.push(0);
-    let mut acc = vec![0.0f64; nc];
-    let mut marker = vec![usize::MAX; nc];
-    let mut touched: Vec<usize> = Vec::with_capacity(64);
+    let mut row = RowAccumulator::new(nc);
     for i in 0..n {
         for idx in a.row_offsets()[i]..a.row_offsets()[i + 1] {
             let j = a.col_indices()[idx];
             let aij = a.values()[idx];
             for pidx in p.row_ptr[j]..p.row_ptr[j + 1] {
-                let cj = p.cols[pidx];
-                if marker[cj] != i {
-                    marker[cj] = i;
-                    touched.push(cj);
-                }
-                acc[cj] += aij * p.vals[pidx];
+                row.add(i, p.cols[pidx], aij * p.vals[pidx]);
             }
         }
-        touched.sort_unstable();
-        for &cj in &touched {
-            ap_cols.push(cj);
-            ap_vals.push(acc[cj]);
-            acc[cj] = 0.0;
-        }
-        touched.clear();
+        row.emit(&mut ap_cols, &mut ap_vals);
         ap_row_ptr.push(ap_cols.len());
     }
     // Stage 2: A_c = Pᵀ·(AP) (coarse rows).
@@ -300,28 +372,16 @@ fn galerkin_product(a: &CsrMatrix, p: &Transfer) -> CsrMatrix {
     let mut c_cols = Vec::new();
     let mut c_vals = Vec::new();
     c_row_ptr.push(0);
-    let mut cacc = vec![0.0f64; nc];
-    marker.fill(usize::MAX);
+    let mut row = RowAccumulator::new(nc);
     for cr in 0..nc {
         for tidx in p.t_row_ptr[cr]..p.t_row_ptr[cr + 1] {
             let i = p.t_cols[tidx];
             let w = p.t_vals[tidx];
             for apidx in ap_row_ptr[i]..ap_row_ptr[i + 1] {
-                let cj = ap_cols[apidx];
-                if marker[cj] != cr {
-                    marker[cj] = cr;
-                    touched.push(cj);
-                }
-                cacc[cj] += w * ap_vals[apidx];
+                row.add(cr, ap_cols[apidx], w * ap_vals[apidx]);
             }
         }
-        touched.sort_unstable();
-        for &cj in &touched {
-            c_cols.push(cj);
-            c_vals.push(cacc[cj]);
-            cacc[cj] = 0.0;
-        }
-        touched.clear();
+        row.emit(&mut c_cols, &mut c_vals);
         c_row_ptr.push(c_cols.len());
     }
     CsrMatrix::from_parts(nc, c_row_ptr, c_cols, c_vals)
@@ -345,6 +405,8 @@ impl MgHierarchy {
         let mut levels: Vec<MgLevel> = Vec::new();
         let mut hierarchy_nnz = 0usize;
         let mut fine_eig_high = 0.0f64;
+        let timing = aeropack_obs::enabled();
+        let mut times = SetupTimes::default();
         // The operator being coarsened this round: level 0 borrows
         // `a`, deeper rounds own their Galerkin product.
         let mut current: Option<CsrMatrix> = None;
@@ -353,11 +415,13 @@ impl MgHierarchy {
             let op: &CsrMatrix = current.as_ref().unwrap_or(a);
             let n = op.n();
             let diag = op.diag();
-            let bounds = estimate_bounds_with(
-                &|x: &[f64], y: &mut [f64]| op.spmv_into(x, y, 1),
-                &diag,
-                POWER_ITERS,
-            );
+            let bounds = timed(timing, &mut times.eig_bounds, || {
+                estimate_bounds_with(
+                    &|x: &[f64], y: &mut [f64]| op.spmv_into(x, y, 1),
+                    &diag,
+                    POWER_ITERS,
+                )
+            });
             if levels.is_empty() {
                 fine_eig_high = bounds.high;
             }
@@ -369,13 +433,15 @@ impl MgHierarchy {
             let ncoarse = cnx * cny * cnz;
             if n <= COARSE_DIRECT_MAX || ncoarse >= n || levels.len() + 1 >= MAX_LEVELS {
                 // This level becomes the direct coarse solve.
-                let mut dense = vec![0.0f64; n * n];
-                for i in 0..n {
-                    for idx in op.row_offsets()[i]..op.row_offsets()[i + 1] {
-                        dense[i * n + op.col_indices()[idx]] = op.values()[idx];
+                let chol = timed(timing, &mut times.coarse_factor, || {
+                    let mut dense = vec![0.0f64; n * n];
+                    for i in 0..n {
+                        for idx in op.row_offsets()[i]..op.row_offsets()[i + 1] {
+                            dense[i * n + op.col_indices()[idx]] = op.values()[idx];
+                        }
                     }
-                }
-                let chol = DenseCholesky::factor(&dense, n, context)?;
+                    DenseCholesky::factor(&dense, n, context)
+                })?;
                 aeropack_obs::counter!("solver.mg.setups");
                 aeropack_obs::counter!("solver.mg.levels", levels.len() + 1);
                 aeropack_obs::histogram!("solver.mg.coarse_unknowns", n);
@@ -386,12 +452,16 @@ impl MgHierarchy {
                     coarse_x: vec![0.0; n],
                     hierarchy_nnz,
                     fine_eig_high,
+                    times,
                 });
             }
-            let agg = aggregate_ids(cur_dims, (cnx, cny, cnz));
             let omega = 4.0 / (3.0 * bounds.high.max(f64::MIN_POSITIVE));
-            let p = smoothed_prolongation(op, &agg, ncoarse, omega);
-            let coarse = galerkin_product(op, &p);
+            let passes = prolong_smooth_passes(levels.len());
+            let p = timed(timing, &mut times.prolongation, || {
+                let agg = aggregate_ids(cur_dims, (cnx, cny, cnz));
+                smoothed_prolongation(op, &diag, &agg, ncoarse, omega, passes)
+            });
+            let coarse = timed(timing, &mut times.galerkin, || galerkin_product(op, &p));
             hierarchy_nnz += p.nnz() + coarse.nnz();
             levels.push(MgLevel {
                 a: current.take(),
@@ -421,13 +491,19 @@ impl MgHierarchy {
     }
 
     /// The metadata block reported through
-    /// [`SolverStats::spectral`](crate::SolverStats).
+    /// [`SolverStats::spectral`](crate::SolverStats). A reused
+    /// hierarchy ran no setup, so its phase times read zero.
     pub(crate) fn spectral_stats(&self, reused: bool) -> SpectralStats {
         let (low, high) = self
             .levels
             .first()
             .map(|l| (l.smooth_low, l.smooth_high))
             .unwrap_or((0.0, self.fine_eig_high));
+        let times = if reused {
+            SetupTimes::default()
+        } else {
+            self.times
+        };
         SpectralStats {
             levels: self.level_count(),
             smoother: "chebyshev",
@@ -437,6 +513,10 @@ impl MgHierarchy {
             coarse_unknowns: self.coarse_unknowns(),
             hierarchy_nnz: self.hierarchy_nnz,
             reused,
+            eig_bounds_time: times.eig_bounds,
+            prolongation_time: times.prolongation,
+            galerkin_time: times.galerkin,
+            coarse_factor_time: times.coarse_factor,
         }
     }
 
@@ -583,6 +663,217 @@ mod tests {
         })
     }
 
+    /// A symmetric 7-point operator with cell-varying face
+    /// conductances (a layered, FR-4-under-copper-like contrast), a
+    /// Dirichlet-style diagonal boost on the `z = 0` face, and a cut
+    /// (zero-conductance) plane between `ix = 1` and `ix = 2` kept in
+    /// the pattern as explicit `+0.0` entries. Those make the transfer
+    /// product form `−0.0` terms, which only a first-touch-assigns
+    /// accumulator sums like the sorted merge.
+    fn variable_poisson3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
+        let idx = move |ix: usize, iy: usize, iz: usize| ix + nx * (iy + ny * iz);
+        let k = move |i: usize| {
+            let iz = i / (nx * ny);
+            (if iz.is_multiple_of(2) { 0.3 } else { 390.0 }) * (1.0 + 0.1 * ((i * 7) % 5) as f64)
+        };
+        let face = move |i: usize, j: usize| 2.0 * k(i) * k(j) / (k(i) + k(j));
+        CsrMatrix::from_row_fn(nx * ny * nz, 2, move |i, row| {
+            let ix = i % nx;
+            let iy = (i / nx) % ny;
+            let iz = i / (nx * ny);
+            let mut nbrs = Vec::new();
+            if iz > 0 {
+                nbrs.push(idx(ix, iy, iz - 1));
+            }
+            if iy > 0 {
+                nbrs.push(idx(ix, iy - 1, iz));
+            }
+            if ix > 0 {
+                nbrs.push(idx(ix - 1, iy, iz));
+            }
+            if ix + 1 < nx {
+                nbrs.push(idx(ix + 1, iy, iz));
+            }
+            if iy + 1 < ny {
+                nbrs.push(idx(ix, iy + 1, iz));
+            }
+            if iz + 1 < nz {
+                nbrs.push(idx(ix, iy, iz + 1));
+            }
+            let mut d = if iz == 0 { 2.0 * k(i) } else { 0.0 };
+            for &j in &nbrs {
+                if (ix.min(j % nx), ix.max(j % nx)) == (1, 2) {
+                    row.push((j, 0.0));
+                } else {
+                    d += face(i, j);
+                    row.push((j, -face(i, j)));
+                }
+            }
+            row.push((i, d));
+        })
+    }
+
+    /// The sorted-merge transfer product the accumulator replaced:
+    /// each row's terms are collected in the same order, stably sorted
+    /// by column and merged. Kept as the bit-identity reference.
+    fn jacobi_smooth_transfer_sorted(
+        a: &CsrMatrix,
+        p_row_ptr: &[usize],
+        p_cols: &[usize],
+        p_vals: &[f64],
+        omega: f64,
+    ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        let n = a.n();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut cols = Vec::new();
+        let mut vals = Vec::new();
+        row_ptr.push(0);
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(32);
+        for i in 0..n {
+            entries.clear();
+            for k in p_row_ptr[i]..p_row_ptr[i + 1] {
+                entries.push((p_cols[k], p_vals[k]));
+            }
+            let scale_i = -omega / a.get(i, i);
+            for idx in a.row_offsets()[i]..a.row_offsets()[i + 1] {
+                let j = a.col_indices()[idx];
+                let w = scale_i * a.values()[idx];
+                for k in p_row_ptr[j]..p_row_ptr[j + 1] {
+                    entries.push((p_cols[k], w * p_vals[k]));
+                }
+            }
+            entries.sort_by_key(|e| e.0);
+            let mut k = 0;
+            while k < entries.len() {
+                let (col, mut acc) = entries[k];
+                k += 1;
+                while k < entries.len() && entries[k].0 == col {
+                    acc += entries[k].1;
+                    k += 1;
+                }
+                cols.push(col);
+                vals.push(acc);
+            }
+            row_ptr.push(cols.len());
+        }
+        (row_ptr, cols, vals)
+    }
+
+    /// The prolongation `(I − ω·D⁻¹A)^passes · P₀` through the sorted
+    /// reference, as a [`Transfer`].
+    fn reference_prolongation(
+        a: &CsrMatrix,
+        agg: &[usize],
+        ncoarse: usize,
+        omega: f64,
+        passes: usize,
+    ) -> Transfer {
+        let n = a.n();
+        let mut row_ptr: Vec<usize> = (0..=n).collect();
+        let mut cols: Vec<usize> = agg.to_vec();
+        let mut vals: Vec<f64> = vec![1.0; n];
+        for _ in 0..passes {
+            (row_ptr, cols, vals) = jacobi_smooth_transfer_sorted(a, &row_ptr, &cols, &vals, omega);
+        }
+        Transfer::with_transpose(n, ncoarse, row_ptr, cols, vals)
+    }
+
+    #[test]
+    fn transfer_product_is_bit_identical_to_the_sorted_merge() {
+        let dims = (7, 5, 3);
+        let cdims = (4, 3, 2);
+        let nc = cdims.0 * cdims.1 * cdims.2;
+        let agg = aggregate_ids(dims, cdims);
+        for (name, a) in [
+            ("poisson", poisson3d(dims.0, dims.1, dims.2)),
+            ("variable", variable_poisson3d(dims.0, dims.1, dims.2)),
+        ] {
+            let diag = a.diag();
+            let omega = 4.0 / (3.0 * 1.7);
+            for passes in [1, 2] {
+                let got = smoothed_prolongation(&a, &diag, &agg, nc, omega, passes);
+                let want = reference_prolongation(&a, &agg, nc, omega, passes);
+                assert_eq!(got.row_ptr, want.row_ptr, "{name}, {passes} pass(es)");
+                assert_eq!(got.cols, want.cols, "{name}, {passes} pass(es)");
+                assert_eq!(got.t_row_ptr, want.t_row_ptr, "{name}, {passes} pass(es)");
+                assert_eq!(got.t_cols, want.t_cols, "{name}, {passes} pass(es)");
+                for (what, g, w) in [
+                    ("vals", &got.vals, &want.vals),
+                    ("t_vals", &got.t_vals, &want.t_vals),
+                ] {
+                    let first_diff = g
+                        .iter()
+                        .zip(w.iter())
+                        .position(|(x, y)| x.to_bits() != y.to_bits());
+                    assert_eq!(first_diff, None, "{name}, {passes} pass(es): {what} differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn coarse_levels_smooth_the_prolongation_once() {
+        // The all-two-pass hierarchy, level by level through the
+        // sorted reference, stopping where `build` stops.
+        let dims = (33, 33, 33);
+        let a = poisson3d(dims.0, dims.1, dims.2);
+        let mut two_pass_nnz = 0usize;
+        let mut levels = 1;
+        let mut current: Option<CsrMatrix> = None;
+        let mut cur_dims = dims;
+        loop {
+            let op = current.as_ref().unwrap_or(&a);
+            let cdims = (
+                cur_dims.0.div_ceil(2),
+                cur_dims.1.div_ceil(2),
+                cur_dims.2.div_ceil(2),
+            );
+            let nc = cdims.0 * cdims.1 * cdims.2;
+            if op.n() <= COARSE_DIRECT_MAX {
+                break;
+            }
+            let bounds = estimate_bounds_with(
+                &|x: &[f64], y: &mut [f64]| op.spmv_into(x, y, 1),
+                &op.diag(),
+                POWER_ITERS,
+            );
+            let omega = 4.0 / (3.0 * bounds.high);
+            let p = reference_prolongation(op, &aggregate_ids(cur_dims, cdims), nc, omega, 2);
+            let coarse = galerkin_product(op, &p);
+            two_pass_nnz += p.nnz() + coarse.nnz();
+            current = Some(coarse);
+            cur_dims = cdims;
+            levels += 1;
+        }
+        let mg = MgHierarchy::build(&a, dims, "mg schedule").unwrap();
+        assert!(levels >= 3, "33³ must coarsen past level 1");
+        assert_eq!(mg.level_count(), levels);
+        assert!(
+            mg.hierarchy_nnz < two_pass_nnz,
+            "hierarchy nnz {} not below the all-two-pass {two_pass_nnz}",
+            mg.hierarchy_nnz
+        );
+    }
+
+    #[test]
+    fn setup_phase_times_are_captured_while_obs_is_on() {
+        let a = poisson3d(12, 10, 6);
+        let mg = {
+            let _obs = aeropack_obs::scoped(std::sync::Arc::new(aeropack_obs::Registry::new()));
+            MgHierarchy::build(&a, (12, 10, 6), "mg timed").unwrap()
+        };
+        let spec = mg.spectral_stats(false);
+        for (phase, t) in [
+            ("eig bounds", spec.eig_bounds_time),
+            ("prolongation", spec.prolongation_time),
+            ("galerkin", spec.galerkin_time),
+            ("coarse factor", spec.coarse_factor_time),
+        ] {
+            assert!(t > Duration::ZERO, "{phase} time not captured");
+        }
+        assert_eq!(mg.spectral_stats(true).galerkin_time, Duration::ZERO);
+    }
+
     #[test]
     fn vcycle_convergence_factor_below_0_2_on_33cubed_poisson() {
         // The stationary iteration x ← x + B(b − A·x) with B one
@@ -659,7 +950,7 @@ mod tests {
         let a = poisson3d(dims.0, dims.1, dims.2);
         let (n, nc) = (a.n(), cdims.0 * cdims.1 * cdims.2);
         let agg = aggregate_ids(dims, cdims);
-        let p = smoothed_prolongation(&a, &agg, nc, 4.0 / (3.0 * 2.0));
+        let p = smoothed_prolongation(&a, &a.diag(), &agg, nc, 4.0 / (3.0 * 2.0), 2);
         let ac = galerkin_product(&a, &p);
         assert_eq!(ac.n(), nc);
         // Dense P (n × nc) and the reference Pᵀ·A·P.

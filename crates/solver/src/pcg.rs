@@ -552,6 +552,10 @@ fn sync_precond(
                     coarse_unknowns: 0,
                     hierarchy_nnz: 0,
                     reused,
+                    eig_bounds_time: Duration::ZERO,
+                    prolongation_time: Duration::ZERO,
+                    galerkin_time: Duration::ZERO,
+                    coarse_factor_time: Duration::ZERO,
                 }),
             ))
         }

@@ -156,6 +156,21 @@ pub struct SpectralStats {
     /// Whether the workspace's cached setup (bounds or hierarchy) was
     /// reused — no power iterations or Galerkin products ran.
     pub reused: bool,
+    /// Multigrid setup time spent in the power-method eigenvalue
+    /// bounds, summed over levels. This and the three phase times
+    /// below are measured only while observability is enabled
+    /// (`aeropack_obs::enabled()`); they read zero otherwise, when the
+    /// setup was reused, and for Chebyshev.
+    pub eig_bounds_time: Duration,
+    /// Multigrid setup time spent aggregating and building the
+    /// Jacobi-smoothed prolongations, summed over levels.
+    pub prolongation_time: Duration,
+    /// Multigrid setup time spent in the Galerkin products
+    /// `Pᵀ·A·P`, summed over levels.
+    pub galerkin_time: Duration,
+    /// Multigrid setup time spent assembling and factoring the dense
+    /// coarsest-level operator.
+    pub coarse_factor_time: Duration,
 }
 
 /// Statistics of one solve: what ran, how hard it worked and how well

@@ -797,7 +797,7 @@ impl FvModel {
         }
         fp.write_u8(self.config.get_method() as u8);
         fp.write_u8(self.config.get_preconditioner().code());
-        fp.write_u8(self.config.get_preconditioner().degree() as u8);
+        fp.write_usize(self.config.get_preconditioner().degree());
         fp.write_f64(self.config.get_tolerance());
         fp.finish()
     }
